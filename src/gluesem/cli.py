@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -146,7 +146,7 @@ def _batch_one(directory: Path, max_depth: Optional[int],
                oracle: bool) -> tuple[bool, list[str]]:
     """Evaluate one scenario directory; returns (passed, report lines)."""
     lines: list[str] = []
-    err_buffer = _Buffer()
+    err_buffer = io.StringIO()
     try:
         scenario = _load(str(directory / "scenario.txt"), None)
         expected_path = directory / "expected"
@@ -173,31 +173,17 @@ def _batch_one(directory: Path, max_depth: Optional[int],
         return False, lines
     except (GlueError, OSError) as exc:
         lines.append(f"{directory.name}: FAIL ({exc})")
-        lines.extend(f"  {line}" for line in err_buffer.text().splitlines())
+        lines.extend(f"  {line}"
+                     for line in err_buffer.getvalue().splitlines())
         return False, lines
 
 
-class _Buffer:
-    def __init__(self):
-        self.chunks: list[str] = []
-
-    def write(self, text: str) -> None:
-        self.chunks.append(text)
-
-    def flush(self) -> None:
-        pass
-
-    def text(self) -> str:
-        return "".join(self.chunks)
-
-
 def batch(corpus_dir: str, *, max_depth: Optional[int] = None,
-          oracle: bool = False, jobs: int = 4,
-          out: Optional[TextIO] = None) -> int:
+          oracle: bool = False, out: Optional[TextIO] = None) -> int:
     """Compare every scenario under corpus_dir to its golden readings.
 
-    Returns the number of failing scenarios; scenarios run concurrently but
-    each report is buffered and printed whole, in directory order.
+    Returns the number of failing scenarios; reports are printed whole, in
+    directory order.
     """
     out = sys.stdout if out is None else out
     root = Path(corpus_dir)
@@ -210,12 +196,9 @@ def batch(corpus_dir: str, *, max_depth: Optional[int] = None,
     if not directories:
         print("0 scenarios, trivially passing", file=out)
         return 0
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(
-            lambda d: _batch_one(d, max_depth, oracle), directories
-        ))
     failures = 0
-    for passed, lines in results:
+    for directory in directories:
+        passed, lines = _batch_one(directory, max_depth, oracle)
         if not passed:
             failures += 1
         for line in lines:
@@ -253,8 +236,6 @@ def _parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--max-depth", type=int, default=None, metavar="N")
     batch_p.add_argument("--oracle", action="store_true",
                          help="also cross-check each scenario")
-    batch_p.add_argument("--jobs", type=int, default=4, metavar="N",
-                         help="concurrent scenario evaluations")
     return parser
 
 
@@ -269,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 0 if report.count else 2
         failures = batch(args.corpus, max_depth=args.max_depth,
-                         oracle=args.oracle, jobs=args.jobs)
+                         oracle=args.oracle)
         return 1 if failures else 0
     except (GlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

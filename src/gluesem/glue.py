@@ -20,7 +20,7 @@ attached to a concrete node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     AtomTypeMismatch,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fstructure import FACETS, SemProjectionRef
 from .terms import (
-    MetaVar,
     Term,
     Var,
     _IDENT_RE,
@@ -172,45 +171,16 @@ Formula = Union[GlueAtom, Impl, Tensor, Forall]
 # ---------------------------------------------------------------------------
 # structural helpers
 
-def substitute_meaning(f: Formula, mapping: Mapping[str, Term]) -> Formula:
-    """Replace free meaning variables across all atoms."""
-    if not mapping:
-        return f
+def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
+    """Replace every atom a by fn(a), keeping the connectives and binders."""
     if isinstance(f, GlueAtom):
-        return GlueAtom(f.proj, subst_map(f.meaning, mapping), f.result_type)
+        return fn(f)
     if isinstance(f, Impl):
-        return Impl(substitute_meaning(f.left, mapping),
-                    substitute_meaning(f.right, mapping))
+        return Impl(map_atoms(f.left, fn), map_atoms(f.right, fn))
     if isinstance(f, Tensor):
-        return Tensor(substitute_meaning(f.left, mapping),
-                      substitute_meaning(f.right, mapping))
+        return Tensor(map_atoms(f.left, fn), map_atoms(f.right, fn))
     if isinstance(f, Forall):
-        if isinstance(f.binder, MeaningBinder) and f.binder.name in mapping:
-            mapping = {k: v for k, v in mapping.items()
-                       if k != f.binder.name}
-        return Forall(f.binder, substitute_meaning(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def substitute_proj(f: Formula, mapping: Mapping[str, Proj]) -> Formula:
-    """Replace free projection variables."""
-    if not mapping:
-        return f
-    if isinstance(f, GlueAtom):
-        if isinstance(f.proj, ProjVar) and f.proj.name in mapping:
-            return GlueAtom(mapping[f.proj.name], f.meaning, f.result_type)
-        return f
-    if isinstance(f, Impl):
-        return Impl(substitute_proj(f.left, mapping),
-                    substitute_proj(f.right, mapping))
-    if isinstance(f, Tensor):
-        return Tensor(substitute_proj(f.left, mapping),
-                      substitute_proj(f.right, mapping))
-    if isinstance(f, Forall):
-        if isinstance(f.binder, ProjBinder) and f.binder.name in mapping:
-            mapping = {k: v for k, v in mapping.items()
-                       if k != f.binder.name}
-        return Forall(f.binder, substitute_proj(f.body, mapping))
+        return Forall(f.binder, map_atoms(f.body, fn))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -225,7 +195,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
                 f"{binder.name} has type {format_type(binder.ty)}, got "
                 f"{format_type(infer_type(value))}"
             )
-        return substitute_meaning(f.body, {binder.name: value})
+        return _open(f.body, binder, value)
     if isinstance(value, Term):
         raise TypeError("projection binder instantiated with a meaning term")
     declared = getattr(value, "index", None)
@@ -234,7 +204,32 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
             f"{binder.name} indexes {format_type(binder.index)} resources, "
             f"got proj({format_type(declared)})"
         )
-    return substitute_proj(f.body, {binder.name: value})
+    return _open(f.body, binder, value)
+
+
+def _open(f: Formula, binder: Binder, value: Union[Term, Proj]) -> Formula:
+    """Substitute value for the free occurrences of binder's variable in f.
+
+    Only a quantifier of the same kind and name shadows the variable.
+    """
+    if isinstance(f, GlueAtom):
+        if isinstance(binder, MeaningBinder):
+            meaning = subst_map(f.meaning, {binder.name: value})
+            return GlueAtom(f.proj, meaning, f.result_type)
+        if isinstance(f.proj, ProjVar) and f.proj.name == binder.name:
+            return GlueAtom(value, f.meaning, f.result_type)
+        return f
+    if isinstance(f, Impl):
+        return Impl(_open(f.left, binder, value),
+                    _open(f.right, binder, value))
+    if isinstance(f, Tensor):
+        return Tensor(_open(f.left, binder, value),
+                      _open(f.right, binder, value))
+    if isinstance(f, Forall):
+        if type(f.binder) is type(binder) and f.binder.name == binder.name:
+            return f
+        return Forall(f.binder, _open(f.body, binder, value))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def atoms(f: Formula) -> Iterator[GlueAtom]:

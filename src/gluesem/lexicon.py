@@ -14,6 +14,10 @@ declarations are merged into one signature, so shared constants may be
 repeated at the same type. The ``glue`` template is last and may span the
 rest of the stanza.
 
+Each attachment contributes one premise, its instantiated template. A
+template that is a top-level tensor stays whole here; splitting it into
+separate resources happens in ``prover.prepare_premises``.
+
 Scenario files name an analysis to run:
 
     scenario bill-left
@@ -33,15 +37,7 @@ from typing import Optional
 
 from .errors import LexiconError, PredMismatch
 from .fstructure import FStructure, SemProjectionRef, parse_fstructure, resolve_path
-from .glue import (
-    Formula,
-    Forall,
-    GlueAtom,
-    Impl,
-    PathRef,
-    Tensor,
-    parse_glue,
-)
+from .glue import Formula, GlueAtom, PathRef, map_atoms, parse_glue
 from .types import SimpleType, format_type, parse_type
 
 
@@ -187,45 +183,25 @@ def instantiate(entry: LexicalEntry, node: str, fs: FStructure) -> Formula:
                 f"entry {entry.headword} requires {attr} = {expected!r} "
                 f"but node {node} has {have}"
             )
-    return _resolve(entry.template, fs, node)
 
+    def resolve(a: GlueAtom) -> GlueAtom:
+        if not isinstance(a.proj, PathRef):
+            return a
+        label = resolve_path(fs, a.proj.path, start=node)
+        return GlueAtom(SemProjectionRef(label, a.proj.facet),
+                        a.meaning, a.result_type)
 
-def _resolve(f: Formula, fs: FStructure, node: str) -> Formula:
-    if isinstance(f, GlueAtom):
-        if isinstance(f.proj, PathRef):
-            label = resolve_path(fs, f.proj.path, start=node)
-            return GlueAtom(SemProjectionRef(label, f.proj.facet),
-                            f.meaning, f.result_type)
-        return f
-    if isinstance(f, Impl):
-        return Impl(_resolve(f.left, fs, node), _resolve(f.right, fs, node))
-    if isinstance(f, Tensor):
-        return Tensor(_resolve(f.left, fs, node), _resolve(f.right, fs, node))
-    if isinstance(f, Forall):
-        return Forall(f.binder, _resolve(f.body, fs, node))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_atoms(entry.template, resolve)
 
 
 def premises(scenario: Scenario, lexicon: Lexicon) -> list[Premise]:
-    """Instantiate every attachment; top-level tensors split into parts."""
-    out: list[Premise] = []
-    for word, label in scenario.attachments:
-        formula = instantiate(lexicon.entry(word), label, scenario.fs)
-        parts = _split_tensor(formula)
-        if len(parts) == 1:
-            out.append(Premise(word, formula))
-        else:
-            out.extend(
-                Premise(f"{word}/{i + 1}", part)
-                for i, part in enumerate(parts)
-            )
-    return out
+    """Instantiate every attachment, one premise per attachment.
 
-
-def _split_tensor(f: Formula) -> list[Formula]:
-    if isinstance(f, Tensor):
-        return _split_tensor(f.left) + _split_tensor(f.right)
-    return [f]
+    A top-level tensor stays whole here; prover.prepare_premises splits it
+    into its parts when the search, the oracle or check_proof consume it.
+    """
+    return [Premise(word, instantiate(lexicon.entry(word), label, scenario.fs))
+            for word, label in scenario.attachments]
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def oracle_enumerate(premises: Sequence[Union[Premise, Formula]],
     if not isinstance(goal_formula, GlueAtom) \
             or not isinstance(goal_formula.meaning, MetaVar):
         raise TypeError("the oracle enumerates readings of a projection")
-    ctx = tuple(f for _, f in prepare_premises(premises))
+    ctx = tuple(prepare_premises(premises))
     readings: dict[str, Reading] = {}
     for subst in _enumerate(ctx, goal_formula, _Subst(), 0, state):
         term = normalize(_zonk_final_term(goal_formula.meaning, subst))

@@ -25,6 +25,7 @@ from .glue import (
     atoms,
     formula_key,
     instantiate,
+    map_atoms,
 )
 from .lexicon import Premise
 from .prover import Proof, Sequent, prepare_premises
@@ -32,21 +33,13 @@ from .terms import MetaVar, Var, alpha_equal, free_vars, normalize
 from .types import T
 
 
-def _normal_formula(f: Formula) -> Formula:
-    """Normalize every meaning so syntactic comparison is up to the laws."""
-    if isinstance(f, GlueAtom):
-        return GlueAtom(f.proj, normalize(f.meaning), f.result_type)
-    if isinstance(f, Impl):
-        return Impl(_normal_formula(f.left), _normal_formula(f.right))
-    if isinstance(f, Tensor):
-        return Tensor(_normal_formula(f.left), _normal_formula(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.binder, _normal_formula(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+def _normal_atom(a: GlueAtom) -> GlueAtom:
+    return GlueAtom(a.proj, normalize(a.meaning), a.result_type)
 
 
 def _key(f: Formula) -> str:
-    return formula_key(_normal_formula(f))
+    """Alpha key with meanings normalized: comparison is up to the laws."""
+    return formula_key(map_atoms(f, _normal_atom))
 
 
 def _multiset(fs: Sequence[Formula]) -> Counter:
@@ -83,7 +76,7 @@ def check_proof(proof: Proof,
     if isinstance(goal, SemProjectionRef):
         goal = GlueAtom(goal, MetaVar("R", 0, T, 0), T)
     if premises is not None:
-        expected = _multiset([f for _, f in prepare_premises(premises)])
+        expected = _multiset(prepare_premises(premises))
         if _multiset(proof.sequent.context) != expected:
             raise InvalidStep(
                 (), "root context differs from the stated premises"

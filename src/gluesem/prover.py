@@ -45,6 +45,7 @@ from .glue import (
     format_glue,
     format_proj,
     instantiate,
+    map_atoms,
 )
 from .lexicon import Premise
 from .terms import (
@@ -61,6 +62,7 @@ from .terms import (
     format_term,
     free_meta_vars,
     infer_type,
+    map_metas,
     normalize,
     spine,
     subst_map,
@@ -175,18 +177,13 @@ def _eigen_level(v: Var) -> int:
 
 
 def zonk_term(t: Term, subst: _Subst) -> Term:
-    if isinstance(t, MetaVar):
-        bound = subst.meanings.get(t.uid)
-        return t if bound is None else zonk_term(bound, subst)
-    if isinstance(t, App):
-        return App(zonk_term(t.fn, subst), zonk_term(t.arg, subst))
-    if isinstance(t, Lam):
-        return Lam(t.var, zonk_term(t.body, subst))
-    if isinstance(t, Up):
-        return Up(zonk_term(t.body, subst))
-    if isinstance(t, Down):
-        return Down(zonk_term(t.body, subst))
-    return t
+    meanings = subst.meanings
+
+    def resolve(m: MetaVar) -> Term:
+        bound = meanings.get(m.uid)
+        return m if bound is None else map_metas(bound, resolve)
+
+    return map_metas(t, resolve)
 
 
 def zonk_proj(p: Proj, subst: _Subst) -> Proj:
@@ -200,22 +197,8 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
 
 def _zonk_final_term(t: Term, subst: _Subst) -> Term:
     """Zonk and replace any unconstrained holes by placeholder constants."""
-    t = zonk_term(t, subst)
-
-    def fill(u: Term) -> Term:
-        if isinstance(u, MetaVar):
-            return Const(f"arb_{u.name}{u.uid}", u.ty)
-        if isinstance(u, App):
-            return App(fill(u.fn), fill(u.arg))
-        if isinstance(u, Lam):
-            return Lam(u.var, fill(u.body))
-        if isinstance(u, Up):
-            return Up(fill(u.body))
-        if isinstance(u, Down):
-            return Down(fill(u.body))
-        return u
-
-    return fill(t)
+    return map_metas(zonk_term(t, subst),
+                     lambda m: Const(f"arb_{m.name}{m.uid}", m.ty))
 
 
 def _zonk_final_proj(p: Proj, subst: _Subst) -> Proj:
@@ -226,23 +209,16 @@ def _zonk_final_proj(p: Proj, subst: _Subst) -> Proj:
 
 
 def zonk_formula(f: Formula, subst: _Subst, final: bool = False) -> Formula:
-    if isinstance(f, GlueAtom):
+    def zonk_atom(a: GlueAtom) -> GlueAtom:
         if final:
-            meaning = normalize(_zonk_final_term(f.meaning, subst))
-            proj = _zonk_final_proj(f.proj, subst)
+            meaning = normalize(_zonk_final_term(a.meaning, subst))
+            proj = _zonk_final_proj(a.proj, subst)
         else:
-            meaning = zonk_term(f.meaning, subst)
-            proj = zonk_proj(f.proj, subst)
-        return GlueAtom(proj, meaning, f.result_type)
-    if isinstance(f, Impl):
-        return Impl(zonk_formula(f.left, subst, final),
-                    zonk_formula(f.right, subst, final))
-    if isinstance(f, Tensor):
-        return Tensor(zonk_formula(f.left, subst, final),
-                      zonk_formula(f.right, subst, final))
-    if isinstance(f, Forall):
-        return Forall(f.binder, zonk_formula(f.body, subst, final))
-    raise TypeError(f"not a formula: {f!r}")
+            meaning = zonk_term(a.meaning, subst)
+            proj = zonk_proj(a.proj, subst)
+        return GlueAtom(proj, meaning, a.result_type)
+
+    return map_atoms(f, zonk_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +536,6 @@ class _SNode:
     eigen: Optional[Union[Var, ProjEigen]] = None
     hyp_id: Optional[int] = None
     entry_id: Optional[int] = None
-    split_ids: Optional[tuple[int, int]] = None
     insts: tuple = ()
     ants: tuple["_SNode", ...] = ()
     child: Optional["_SNode"] = None
@@ -615,21 +590,6 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
         )
     if not isinstance(goal, GlueAtom):
         raise TypeError(f"not a formula: {goal!r}")
-    # split any tensor hypothesis first; the rule is invertible
-    for i, (fid, f) in enumerate(ctx):
-        f = zonk_formula(f, subst)
-        if isinstance(f, Tensor):
-            left_id, right_id = state.fresh(), state.fresh()
-            rest = (ctx[:i] + ((left_id, f.left), (right_id, f.right))
-                    + ctx[i + 1:])
-            for out, ctx_out, node in _solve(rest, goal, subst, depth + 1,
-                                             state):
-                consumed = (node.consumed - {left_id, right_id}) | {fid}
-                yield out, ctx_out, _SNode(
-                    "tensor_left", consumed, entry_id=fid,
-                    split_ids=(left_id, right_id), child=node
-                )
-            return
     for i in range(len(ctx)):
         fid, f = ctx[i]
         rest = ctx[:i] + ctx[i + 1:]
@@ -705,14 +665,6 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
         ctx[node.hyp_id] = zonk_formula(goal.left, subst, final=True)
         child = _replay(node.child, ctx, goal.right, subst)
         return Proof("impl_right", seq, (child,))
-    if node.kind == "tensor_left":
-        seq = sequent(node.consumed, goal)
-        f = ctx[node.entry_id]
-        left_id, right_id = node.split_ids
-        ctx[left_id] = f.left
-        ctx[right_id] = f.right
-        child = _replay(node.child, ctx, goal, subst)
-        return Proof("tensor_left", seq, (child,))
     if node.kind == "focus":
         f = ctx[node.entry_id]
         chain: list[tuple[str, Union[Term, Proj, None]]] = []
@@ -776,22 +728,18 @@ def _split_top(f: Formula) -> Iterator[Formula]:
 
 
 def prepare_premises(premises: Sequence[Union[Premise, Formula]]) \
-        -> list[tuple[str, Formula]]:
-    """Name, curry, and split the premises the way the search consumes them.
+        -> list[Formula]:
+    """Split and curry the premises the way the search consumes them.
 
     A bare tensor premise is two resources, so it is split before currying;
-    tensors in antecedent positions are curried away.
+    tensors in antecedent positions are curried away. No context entry is
+    then a bare tensor, so the search has no tensor-left rule; a tensor left
+    under a quantifier is refused when the search reaches it.
     """
     out = []
-    for i, p in enumerate(premises):
-        if isinstance(p, Premise):
-            name, f = p.name, p.formula
-        else:
-            name, f = f"premise-{i + 1}", p
-        parts = list(_split_top(f))
-        for j, part in enumerate(parts):
-            label = name if len(parts) == 1 else f"{name}/{j + 1}"
-            out.append((label, curry(part)))
+    for p in premises:
+        f = p.formula if isinstance(p, Premise) else p
+        out.extend(curry(part) for part in _split_top(f))
     return out
 
 
@@ -813,22 +761,14 @@ def _search(premises: Sequence[Union[Premise, Formula]],
     stats = stats if stats is not None else SearchStats()
     state = _State(limits, stats)
     goal_formula = _prepare_goal(goal, state)
-    pairs = prepare_premises(premises)
-    ctx: list[tuple[int, Formula]] = []
-    names: dict[int, str] = {}
-    initial: dict[int, Formula] = {}
-    for name, f in pairs:
-        fid = state.fresh()
-        ctx.append((fid, f))
-        names[fid] = name
-        initial[fid] = f
+    initial = {state.fresh(): f for f in prepare_premises(premises)}
     results = []
-    for subst, ctx_out, node in _solve(tuple(ctx), goal_formula, _Subst(),
-                                       0, state):
+    for subst, ctx_out, node in _solve(tuple(initial.items()), goal_formula,
+                                       _Subst(), 0, state):
         if ctx_out:
             continue  # linear logic: every premise must be used
         results.append((subst, node))
-    return state, goal_formula, initial, names, results
+    return state, goal_formula, initial, results
 
 
 def prove(premises: Sequence[Union[Premise, Formula]],
@@ -836,7 +776,7 @@ def prove(premises: Sequence[Union[Premise, Formula]],
           limits: Optional[SearchLimits] = None,
           stats: Optional[SearchStats] = None) -> list[Proof]:
     """All cut-free derivations of the goal that use every premise once."""
-    state, goal_formula, initial, _, results = _search(
+    state, goal_formula, initial, results = _search(
         premises, goal, limits, stats
     )
     proofs = []
@@ -860,7 +800,7 @@ def derive_readings(premises: Sequence[Union[Premise, Formula]],
                     stats: Optional[SearchStats] = None) -> list[Reading]:
     """Distinct normalized meanings derivable for a projection."""
     own_stats = stats if stats is not None else SearchStats()
-    state, goal_formula, initial, _, results = _search(
+    state, goal_formula, initial, results = _search(
         premises, goal, limits, own_stats
     )
     hole = goal_formula.meaning

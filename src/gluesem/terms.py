@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import (
     ExtensionOfNonIntension,
@@ -158,21 +158,43 @@ def _collect_free(t: Term, bound: set[str], out: set[Var]) -> None:
 
 
 def free_meta_vars(t: Term) -> set[MetaVar]:
-    out: set[MetaVar] = set()
+    return _collect(t, MetaVar)
 
-    def walk(u: Term) -> None:
-        if isinstance(u, MetaVar):
+
+def _collect(t: Term, cls: type) -> set:
+    """Every subterm that is an instance of cls; binders are not descended."""
+    out: set = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, cls):
             out.add(u)
-        elif isinstance(u, Lam):
-            walk(u.body)
         elif isinstance(u, App):
-            walk(u.fn)
-            walk(u.arg)
-        elif isinstance(u, (Up, Down)):
-            walk(u.body)
-
-    walk(t)
+            stack.append(u.arg)
+            stack.append(u.fn)
+        elif isinstance(u, (Lam, Up, Down)):
+            stack.append(u.body)
     return out
+
+
+def map_metas(t: Term, fn: Callable[[MetaVar], Term]) -> Term:
+    """Replace every metavariable m by fn(m).
+
+    Subterms with no metavariable to replace come back as the same objects.
+    """
+    if isinstance(t, MetaVar):
+        return fn(t)
+    if isinstance(t, App):
+        head = map_metas(t.fn, fn)
+        arg = map_metas(t.arg, fn)
+        return t if head is t.fn and arg is t.arg else App(head, arg)
+    if isinstance(t, Lam):
+        body = map_metas(t.body, fn)
+        return t if body is t.body else Lam(t.var, body)
+    if isinstance(t, (Up, Down)):
+        body = map_metas(t.body, fn)
+        return t if body is t.body else type(t)(body)
+    return t
 
 
 def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
@@ -567,27 +589,9 @@ def format_term(t: Term, sugar: bool = True, annotate: bool = True) -> str:
         else:
             for v in group:
                 names[v.name] = v.name
-    taken = set(names.values()) | {c.name for c in _consts(t)}
+    taken = set(names.values()) | {c.name for c in _collect(t, Const)}
     namer = _Namer(taken)
     return _render(t, names, namer, sugar, annotate, top=True)
-
-
-def _consts(t: Term) -> set[Const]:
-    out: set[Const] = set()
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Const):
-            out.add(u)
-        elif isinstance(u, Lam):
-            walk(u.body)
-        elif isinstance(u, App):
-            walk(u.fn)
-            walk(u.arg)
-        elif isinstance(u, (Up, Down)):
-            walk(u.body)
-
-    walk(t)
-    return out
 
 
 def _display_var(name: str, names: dict[str, str]) -> str:

@@ -47,11 +47,6 @@ def arrow(*types: SimpleType) -> SimpleType:
     return result
 
 
-def intension_of(ty: SimpleType) -> SimpleType:
-    """The type of ^M when M has type ty."""
-    return ArrowType(S, ty)
-
-
 # Generalized determiners (every, a) take a restriction and a scope.
 QUANTIFIER_TYPE = arrow(arrow(E, T), arrow(E, T), T)
 

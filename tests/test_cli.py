@@ -165,6 +165,6 @@ def test_batch_missing_expected_is_a_failure(corpus_copy, capsys):
 
 
 def test_batch_oracle_mode_passes(corpus_dir, capsys):
-    code = main(["batch", str(corpus_dir), "--oracle", "--jobs", "2"])
+    code = main(["batch", str(corpus_dir), "--oracle"])
     assert code == 0
     assert "6/6 scenarios pass" in capsys.readouterr().out

@@ -17,11 +17,12 @@ from gluesem.glue import (
     check_wellformed,
     curry,
     format_glue,
+    instantiate,
     parse_glue,
     polarity_roles,
 )
 from gluesem.fstructure import SemProjectionRef
-from gluesem.terms import Var
+from gluesem.terms import Const, Var
 from gluesem.types import E, parse_type
 
 SIG = {
@@ -137,6 +138,41 @@ def test_curry_leaves_no_tensor_anywhere():
 
     for text in [LEAVE, FIND, EVERY_MAN, SEEKS]:
         assert not has_tensor(curry(parse(text)))
+
+
+# ---------------------------------------------------------------------------
+# opening a quantifier
+
+
+BILL = Const("Bill", E)
+
+
+def test_instantiate_same_kind_binder_shadows_meaning():
+    f = parse("forall X:e. g.sig ~> X -o (forall X:e. h.sig ~> X)")
+    assert alpha_equal_formulas(
+        instantiate(f, BILL),
+        parse("g.sig ~> Bill -o (forall X:e. h.sig ~> X)"),
+    )
+
+
+def test_instantiate_same_kind_binder_shadows_projection():
+    f = parse("forall H:proj(e). H ~> Bill -o (forall H:proj(e). H ~> Bill)")
+    opened = instantiate(f, SemProjectionRef("g"))
+    assert format_glue(opened) == \
+        "g.sig ~> Bill -o (forall H:proj(e). H ~> Bill)"
+
+
+def test_instantiate_meaning_passes_a_projection_binder_of_that_name():
+    f = parse("forall X:e. forall X:proj(e). X ~> X")
+    assert format_glue(instantiate(f, BILL)) == "forall X:proj(e). X ~> Bill"
+
+
+def test_instantiate_projection_passes_a_meaning_binder_of_that_name():
+    f = parse("forall X:proj(e). forall X:e. X ~> X")
+    assert alpha_equal_formulas(
+        instantiate(f, SemProjectionRef("g")),
+        parse("forall X:e. g.sig ~> X"),
+    )
 
 
 # ---------------------------------------------------------------------------

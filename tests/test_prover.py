@@ -4,8 +4,15 @@ import itertools
 
 import pytest
 
-from gluesem.errors import NonPatternUnification, NotProvable
-from gluesem.glue import parse_glue
+from gluesem.errors import (
+    GlueFormulaError,
+    NonPatternUnification,
+    NotProvable,
+)
+from gluesem.glue import Tensor, format_glue, parse_glue
+from gluesem.lexicon import parse_lexicon, parse_scenario
+from gluesem.lexicon import premises as lexicon_premises
+from gluesem.proofcheck import check_proof
 from gluesem.prover import (
     Proof,
     SearchLimits,
@@ -203,6 +210,76 @@ def test_nonpattern_unification_is_reported():
     ]
     with pytest.raises(NonPatternUnification):
         derive_readings(premises, "f")
+
+
+# ---------------------------------------------------------------------------
+# tensors: a top-level pair is two resources, a quantified pair is refused
+
+PAIR_SIG = {
+    "Bill": parse_type("e"),
+    "Al": parse_type("e"),
+    "leave": parse_type("e -> t"),
+    "meet": parse_type("e -> e -> t"),
+}
+PAIR = "g.sig ~> Bill * h.sig ~> Al"
+MEET = "forall Z:e, Y:e. g.sig ~> Z -o h.sig ~> Y -o f.sig ~> meet(Z, Y)"
+
+
+def test_top_level_tensor_premise_is_two_resources():
+    premises = [parse_glue(PAIR, PAIR_SIG), parse_glue(MEET, PAIR_SIG)]
+    [proof] = prove(premises, "f")
+    assert [format_glue(f) for f in proof.sequent.context] == [
+        "g.sig ~> Bill", "h.sig ~> Al", MEET,
+    ]
+    check_proof(proof, None, premises, "f")
+    # each half must be consumed: proving g alone leaves h.sig ~> Al over
+    assert prove([parse_glue(PAIR, PAIR_SIG)], "g") == []
+
+
+def test_top_level_tensor_lexicon_entry_is_two_resources():
+    lexicon = parse_lexicon("""entry pair
+const Bill : e
+const Al : e
+glue (^ SUBJ).sig ~> Bill * (^ OBJ).sig ~> Al
+
+entry meets
+PRED = meet
+const meet : e -> e -> t
+glue forall Z:e, Y:e.
+  (^ SUBJ).sig ~> Z -o (^ OBJ).sig ~> Y -o ^.sig ~> meet(Z, Y)
+""")
+    scenario = parse_scenario("""scenario pair
+fstructure f:[PRED 'meet', SUBJ g:[PRED 'Bill'], OBJ h:[PRED 'Al']]
+attach pair -> f
+attach meets -> f
+goal f
+""")
+    premises = lexicon_premises(scenario, lexicon)
+    # one premise per attachment; the pair is split only for the search
+    assert [p.name for p in premises] == ["pair", "meets"]
+    assert isinstance(premises[0].formula, Tensor)
+    [proof] = prove(premises, "f")
+    check_proof(proof, None, premises, "f")
+    readings = derive_readings(premises, "f")
+    assert [format_term(r.meaning) for r in readings] == ["meet(Bill, Al)"]
+
+
+def test_quantified_tensor_hypothesis_is_refused():
+    goal = parse_glue(
+        "(forall X:e. g.sig ~> X * h.sig ~> X) -o f.sig ~> leave(Bill)",
+        PAIR_SIG,
+    )
+    with pytest.raises(GlueFormulaError, match="quantified antecedent"):
+        prove((), goal)
+
+
+def test_quantified_tensor_subgoal_is_refused():
+    premise = parse_glue(
+        "(forall X:e. g.sig ~> X * h.sig ~> X) -o f.sig ~> leave(Bill)",
+        PAIR_SIG,
+    )
+    with pytest.raises(GlueFormulaError, match="tensor goals"):
+        prove([premise], "f")
 
 
 # ---------------------------------------------------------------------------
