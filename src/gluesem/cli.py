@@ -17,7 +17,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -33,18 +32,6 @@ from .prover import (
     proof_json,
 )
 from .terms import canonical_key, format_term, normalize, parse_term
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything `run` prints, as data; readings are sorted canonically."""
-
-    scenario: str
-    readings: tuple[str, ...]
-    count: int
-    traces: Optional[tuple[str, ...]]
-    seconds: float
-    limit_hit: bool
 
 
 def _load(scenario_path: str, lexicon_path: Optional[str]) -> Scenario:
@@ -91,45 +78,37 @@ def run(scenario_path: str, lexicon_path: Optional[str] = None, *,
         trace: bool = False, as_json: bool = False, count_only: bool = False,
         max_depth: Optional[int] = None, oracle: bool = False,
         out: Optional[TextIO] = None,
-        err: Optional[TextIO] = None) -> RunReport:
-    """Derive one scenario's readings and print the report."""
+        err: Optional[TextIO] = None) -> int:
+    """Derive one scenario's readings, print the report, return the count."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     scenario = _load(scenario_path, lexicon_path)
     readings, stats, seconds = _derive(scenario, max_depth, oracle, err)
-    traces = tuple(format_proof(r.proof) for r in readings) if trace else None
-    report = RunReport(
-        scenario=scenario.name,
-        readings=tuple(format_term(r.meaning) for r in readings),
-        count=len(readings),
-        traces=traces,
-        seconds=seconds,
-        limit_hit=stats.limit_hit,
-    )
+    count = len(readings)
     if count_only:
-        print(report.count, file=out)
+        print(count, file=out)
     elif as_json:
         payload: dict = {
-            "scenario": report.scenario,
-            "readings": list(report.readings),
-            "count": report.count,
-            "seconds": round(report.seconds, 6),
-            "limit_hit": report.limit_hit,
+            "scenario": scenario.name,
+            "readings": [format_term(r.meaning) for r in readings],
+            "count": count,
+            "seconds": round(seconds, 6),
+            "limit_hit": stats.limit_hit,
         }
         if trace:
             payload["traces"] = [proof_json(r.proof) for r in readings]
         json.dump(payload, out, indent=2)
         print(file=out)
     else:
-        note = " (depth limit hit)" if report.limit_hit else ""
-        print(f"{report.scenario}: {report.count} reading"
-              f"{'s' if report.count != 1 else ''}{note}", file=out)
-        for i, text in enumerate(report.readings, 1):
-            print(f"  {i}. {text}", file=out)
-            if traces is not None:
-                for line in traces[i - 1].splitlines():
+        note = " (depth limit hit)" if stats.limit_hit else ""
+        print(f"{scenario.name}: {count} reading"
+              f"{'s' if count != 1 else ''}{note}", file=out)
+        for i, r in enumerate(readings, 1):
+            print(f"  {i}. {format_term(r.meaning)}", file=out)
+            if trace:
+                for line in format_proof(r.proof).splitlines():
                     print(f"     {line}", file=out)
-    return report
+    return count
 
 
 def _read_expected(path: Path, scenario: Scenario) -> list[str]:
@@ -243,12 +222,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            report = run(
+            count = run(
                 args.scenario, args.lexicon, trace=args.trace,
                 as_json=args.as_json, count_only=args.count_only,
                 max_depth=args.max_depth, oracle=args.oracle,
             )
-            return 0 if report.count else 2
+            return 0 if count else 2
         failures = batch(args.corpus, max_depth=args.max_depth,
                          oracle=args.oracle)
         return 1 if failures else 0

@@ -622,7 +622,7 @@ def format_glue(f: Formula) -> str:
 
 def _fmt(f: Formula, min_prec: int) -> str:
     if isinstance(f, GlueAtom):
-        return f"{_fmt_proj(f.proj)} ~> {format_term(f.meaning)}"
+        return f"{format_proj(f.proj)} ~> {format_term(f.meaning)}"
     if isinstance(f, Forall):
         binders = []
         body: Formula = f
@@ -652,11 +652,5 @@ def _fmt_binder(b: Binder) -> str:
     return f"{b.name}:{ty_text}"
 
 
-def _fmt_proj(p: Proj) -> str:
-    if isinstance(p, ProjEigen):
-        return p.name.split("#")[0]
-    return repr(p)
-
-
 def format_proj(p: Proj) -> str:
-    return _fmt_proj(p)
+    return p.name if isinstance(p, ProjEigen) else repr(p)

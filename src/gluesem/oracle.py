@@ -2,11 +2,13 @@
 
 This walks the sequent calculus with none of the prover's resource
 discipline. Invertible steps are applied outright: a quantified goal gets a
-fresh eigenvariable, an implication goal moves its antecedent into the
-context, a pair in the context is split in place. At an atomic goal it picks
-a hypothesis and commits to it, decomposing it to its atomic head and trying
-every partition of the remaining resources at each implication along the
-way. The only sharing with the prover is the term and unification substrate;
+fresh eigenvariable and an implication goal moves its antecedent into the
+context. At an atomic goal it picks a hypothesis and commits to it,
+decomposing it to its atomic head and trying every partition of the
+remaining resources at each implication along the way. The context never
+holds a bare pair: prepare_premises splits a pair premise in two, and the
+premises and the goal are curried, so no antecedent is a pair either. The
+only sharing with the prover is the term and unification substrate;
 resource bookkeeping here is eager multiset partitioning, so a bug in the
 prover's input-output threading cannot be mirrored on this side.
 
@@ -24,8 +26,6 @@ from .glue import (
     Formula,
     GlueAtom,
     Impl,
-    MeaningBinder,
-    ProjEigen,
     Tensor,
     format_glue,
     instantiate,
@@ -35,16 +35,17 @@ from .prover import (
     Reading,
     SearchLimits,
     SearchStats,
+    _goal_eigen,
+    _ground_term,
     _prepare_goal,
     _solve_goal_hole,
     _State,
     _Subst,
     _unify_atoms,
-    _zonk_final_term,
     prepare_premises,
     zonk_formula,
 )
-from .terms import MetaVar, Var, canonical_key, normalize
+from .terms import MetaVar, canonical_key
 
 
 def oracle_enumerate(premises: Sequence[Union[Premise, Formula]],
@@ -61,7 +62,7 @@ def oracle_enumerate(premises: Sequence[Union[Premise, Formula]],
     ctx = tuple(prepare_premises(premises))
     readings: dict[str, Reading] = {}
     for subst in _enumerate(ctx, goal_formula, _Subst(), 0, state):
-        term = normalize(_zonk_final_term(goal_formula.meaning, subst))
+        term = _ground_term(goal_formula.meaning, subst)
         key = canonical_key(term)
         if key not in readings:
             readings[key] = Reading(term, None)
@@ -76,13 +77,7 @@ def _enumerate(ctx: tuple[Formula, ...], goal: Formula, subst: _Subst,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        uid = state.fresh()
-        binder = goal.binder
-        if isinstance(binder, MeaningBinder):
-            eigen: Union[Var, ProjEigen] = Var(f"{binder.name}#{uid}",
-                                               binder.ty)
-        else:
-            eigen = ProjEigen(binder.name, uid, binder.index)
+        eigen = _goal_eigen(goal.binder, state.fresh())
         yield from _enumerate(ctx, instantiate(goal, eigen), subst,
                               depth + 1, state)
         return
@@ -92,13 +87,6 @@ def _enumerate(ctx: tuple[Formula, ...], goal: Formula, subst: _Subst,
         return
     if not isinstance(goal, GlueAtom):
         raise TypeError(f"unexpected goal shape: {goal!r}")
-    for i, f in enumerate(ctx):
-        # splitting a pair loses nothing, so do it before choosing anything
-        if isinstance(f, Tensor):
-            rest = ctx[:i] + ctx[i + 1:]
-            yield from _enumerate(rest + (f.left, f.right), goal, subst,
-                                  depth + 1, state)
-            return
     for i in range(len(ctx)):
         rest = ctx[:i] + ctx[i + 1:]
         yield from _decide(ctx[i], rest, goal, subst, depth + 1, state)

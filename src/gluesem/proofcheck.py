@@ -4,8 +4,12 @@ check_proof re-derives every rule application from the sequents alone, so a
 bug in the search cannot hide: resources must be consumed exactly once,
 eigenvariables must be fresh where they are introduced, quantifier
 instantiations must typecheck, and axioms must close on genuinely equal
-atoms. Nothing here shares state with the search; only the formula and term
-layers are reused.
+atoms. It accepts exactly the rules the search emits: axiom, impl_right,
+forall_right, forall_left and impl_left. There is no tensor rule, because
+a stated root is prepared as the search prepares it: a pair premise counts
+as its two halves and tensor antecedents, in the premises and in the goal,
+are curried into nested implications. Nothing here shares state with the
+search; only the formula and term layers are reused.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from .glue import (
     GlueAtom,
     Impl,
     ProjEigen,
-    Tensor,
     atoms,
+    curry,
     formula_key,
     instantiate,
     map_atoms,
@@ -75,6 +79,8 @@ def check_proof(proof: Proof,
         goal = SemProjectionRef(goal)
     if isinstance(goal, SemProjectionRef):
         goal = GlueAtom(goal, MetaVar("R", 0, T, 0), T)
+    elif goal is not None:
+        goal = curry(goal)  # the search proves the curried goal
     if premises is not None:
         expected = _multiset(prepare_premises(premises))
         if _multiset(proof.sequent.context) != expected:
@@ -216,28 +222,10 @@ def _check_impl_left(p: Proof, path) -> None:
     _fail(path, "subproofs do not split the context around an implication")
 
 
-def _check_tensor_left(p: Proof, path) -> None:
-    _expect_children(p, path, 1)
-    child = p.children[0]
-    if _key(child.sequent.goal) != _key(p.sequent.goal):
-        _fail(path, "tensor_left may not change the goal")
-    parent_ms = _multiset(p.sequent.context)
-    child_ms = _multiset(child.sequent.context)
-    for f in p.sequent.context:
-        if not isinstance(f, Tensor):
-            continue
-        want = parent_ms - Counter([_key(f)]) \
-            + Counter([_key(f.left), _key(f.right)])
-        if want == child_ms:
-            return
-    _fail(path, "no tensor hypothesis splits to the subproof context")
-
-
 _RULES = {
     "axiom": _check_axiom,
     "impl_right": _check_impl_right,
     "forall_right": _check_forall_right,
     "forall_left": _check_forall_left,
     "impl_left": _check_impl_left,
-    "tensor_left": _check_tensor_left,
 }

@@ -195,30 +195,29 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
     return p
 
 
-def _zonk_final_term(t: Term, subst: _Subst) -> Term:
-    """Zonk and replace any unconstrained holes by placeholder constants."""
-    return map_metas(zonk_term(t, subst),
-                     lambda m: Const(f"arb_{m.name}{m.uid}", m.ty))
+def zonk_formula(f: Formula, subst: _Subst) -> Formula:
+    return map_atoms(f, lambda a: GlueAtom(zonk_proj(a.proj, subst),
+                                           zonk_term(a.meaning, subst),
+                                           a.result_type))
 
 
-def _zonk_final_proj(p: Proj, subst: _Subst) -> Proj:
+def _ground_term(t: Term, subst: _Subst) -> Term:
+    """Zonk, fill unconstrained holes with placeholder constants, normalize."""
+    return normalize(map_metas(zonk_term(t, subst),
+                               lambda m: Const(f"arb_{m.name}{m.uid}", m.ty)))
+
+
+def _ground_proj(p: Proj, subst: _Subst) -> Proj:
     p = zonk_proj(p, subst)
     if isinstance(p, ProjMeta):
         return SemProjectionRef(f"arb_{p.name}{p.uid}")
     return p
 
 
-def zonk_formula(f: Formula, subst: _Subst, final: bool = False) -> Formula:
-    def zonk_atom(a: GlueAtom) -> GlueAtom:
-        if final:
-            meaning = normalize(_zonk_final_term(a.meaning, subst))
-            proj = _zonk_final_proj(a.proj, subst)
-        else:
-            meaning = zonk_term(a.meaning, subst)
-            proj = zonk_proj(a.proj, subst)
-        return GlueAtom(proj, meaning, a.result_type)
-
-    return map_atoms(f, zonk_atom)
+def ground_formula(f: Formula, subst: _Subst) -> Formula:
+    return map_atoms(f, lambda a: GlueAtom(_ground_proj(a.proj, subst),
+                                           _ground_term(a.meaning, subst),
+                                           a.result_type))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +551,13 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
     return ProjMeta(binder.name, uid, uid, binder.index)
 
 
+def _goal_eigen(binder, uid: int) -> Union[Var, ProjEigen]:
+    """A fresh eigenvariable for proving a goal-side quantifier."""
+    if isinstance(binder, MeaningBinder):
+        return Var(f"{binder.name}#{uid}", binder.ty)
+    return ProjEigen(binder.name, uid, binder.index)
+
+
 def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
            state: _State) -> Iterator[tuple[_Subst, _Ctx, _SNode]]:
     if depth > state.limits.max_depth:
@@ -559,13 +565,7 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        uid = state.fresh()
-        binder = goal.binder
-        if isinstance(binder, MeaningBinder):
-            eigen: Union[Var, ProjEigen] = Var(f"{binder.name}#{uid}",
-                                               binder.ty)
-        else:
-            eigen = ProjEigen(binder.name, uid, binder.index)
+        eigen = _goal_eigen(goal.binder, state.fresh())
         body = instantiate(goal, eigen)
         for out, ctx_out, node in _solve(ctx, body, subst, depth + 1, state):
             yield out, ctx_out, _SNode(
@@ -643,77 +643,48 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
 # ---------------------------------------------------------------------------
 # ground proof reconstruction
 
-def _ground_value(v: Union[MetaVar, ProjMeta],
-                  subst: _Subst) -> Union[Term, Proj]:
-    if isinstance(v, MetaVar):
-        return normalize(_zonk_final_term(v, subst))
-    return _zonk_final_proj(v, subst)
-
-
 def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
             subst: _Subst) -> Proof:
-    def sequent(ids: frozenset[int], g: Formula) -> Sequent:
-        ordered = tuple(ctx[i] for i in sorted(ids))
-        return Sequent(ordered, g)
+    """Rebuild the ground derivation a search node records.
+
+    ctx maps entry ids to ground formulas; introducing an implication adds
+    its hypothesis. A focused entry is shown at each stage of its
+    decomposition without being written back.
+    """
+    def sequent(ids: frozenset[int], focused: Optional[Formula] = None):
+        return Sequent(tuple(focused if i == node.entry_id else ctx[i]
+                             for i in sorted(ids)), goal)
 
     if node.kind == "forall_right":
-        seq = sequent(node.consumed, goal)
+        seq = sequent(node.consumed)
         child = _replay(node.child, ctx, instantiate(goal, node.eigen), subst)
         return Proof("forall_right", seq, (child,), eigen=node.eigen)
     if node.kind == "impl_right":
-        seq = sequent(node.consumed, goal)
-        ctx[node.hyp_id] = zonk_formula(goal.left, subst, final=True)
+        seq = sequent(node.consumed)
+        ctx[node.hyp_id] = ground_formula(goal.left, subst)
         child = _replay(node.child, ctx, goal.right, subst)
         return Proof("impl_right", seq, (child,))
-    if node.kind == "focus":
-        f = ctx[node.entry_id]
-        chain: list[tuple[str, Union[Term, Proj, None]]] = []
-        for hole in node.insts:
-            value = _ground_value(hole, subst)
-            chain.append(("forall_left", value))
-            f = instantiate(f, value)
-        remaining = list(node.ants)
-        return _replay_chain(node, chain, f, remaining, ctx, goal, subst,
-                             node.consumed)
-    raise ValueError(f"unknown search node {node.kind}")
-
-
-def _replay_chain(node: _SNode, chain, f: Formula, ants: list[_SNode],
-                  ctx: dict[int, Formula], goal: Formula, subst: _Subst,
-                  ids: frozenset[int]) -> Proof:
-    def sequent_for(current: Formula, id_set: frozenset[int]) -> Sequent:
-        ordered = []
-        for i in sorted(id_set):
-            if i == node.entry_id:
-                ordered.append(current)
-            else:
-                ordered.append(ctx[i])
-        return Sequent(tuple(ordered), goal)
-
-    if chain:
-        rule, value = chain[0]
-        seq = sequent_for(ctx[node.entry_id], ids)
-        lowered = instantiate(ctx[node.entry_id], value)
-        saved = ctx[node.entry_id]
-        ctx[node.entry_id] = lowered
-        child = _replay_chain(node, chain[1:], f, ants, ctx, goal, subst, ids)
-        ctx[node.entry_id] = saved
-        return Proof("forall_left", seq, (child,), instantiation=value)
-    if ants:
-        ant_node = ants[0]
-        assert isinstance(f, Impl)
-        seq = sequent_for(f, ids)
-        left_proof = _replay(ant_node, ctx, zonk_formula(f.left, subst,
-                                                         final=True), subst)
-        rest_ids = (ids - ant_node.consumed) - {node.entry_id}
-        saved = ctx[node.entry_id]
-        ctx[node.entry_id] = f.right
-        right_proof = _replay_chain(node, (), f.right, ants[1:], ctx, goal,
-                                    subst, rest_ids | {node.entry_id})
-        ctx[node.entry_id] = saved
-        return Proof("impl_left", seq, (left_proof, right_proof))
-    seq = sequent_for(f, ids)
-    return Proof("axiom", seq)
+    if node.kind != "focus":
+        raise ValueError(f"unknown search node {node.kind}")
+    f, ids = ctx[node.entry_id], node.consumed
+    chain: list[Proof] = []  # forall_left* then impl_left*, top down
+    for hole in node.insts:
+        value = _ground_term(hole, subst) if isinstance(hole, MetaVar) \
+            else _ground_proj(hole, subst)
+        chain.append(Proof("forall_left", sequent(ids, f),
+                           instantiation=value))
+        f = instantiate(f, value)
+    for ant in node.ants:
+        seq = sequent(ids, f)
+        left = _replay(ant, ctx, ground_formula(f.left, subst), subst)
+        chain.append(Proof("impl_left", seq, (left,)))
+        ids -= ant.consumed
+        f = f.right
+    proof = Proof("axiom", sequent(ids, f))
+    for step in reversed(chain):
+        step.children += (proof,)
+        proof = step
+    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -753,22 +724,39 @@ def _prepare_goal(goal: Union[Formula, SemProjectionRef, str],
     return curry(goal)
 
 
-def _search(premises: Sequence[Union[Premise, Formula]],
-            goal: Union[Formula, SemProjectionRef, str],
-            limits: Optional[SearchLimits],
-            stats: Optional[SearchStats]):
-    limits = limits or SearchLimits()
+def _derivations(premises: Sequence[Union[Premise, Formula]],
+                 goal: Union[Formula, SemProjectionRef, str],
+                 limits: Optional[SearchLimits],
+                 stats: Optional[SearchStats]):
+    """Search, keeping each result that uses every premise.
+
+    Returns the prepared premises by entry id and, per result, its ground
+    goal, substitution and search node. An empty result after a unification
+    problem outside the pattern fragment may be incomplete, so it raises.
+    """
     stats = stats if stats is not None else SearchStats()
-    state = _State(limits, stats)
+    state = _State(limits or SearchLimits(), stats)
     goal_formula = _prepare_goal(goal, state)
     initial = {state.fresh(): f for f in prepare_premises(premises)}
-    results = []
-    for subst, ctx_out, node in _solve(tuple(initial.items()), goal_formula,
-                                       _Subst(), 0, state):
-        if ctx_out:
-            continue  # linear logic: every premise must be used
-        results.append((subst, node))
-    return state, goal_formula, initial, results
+    results = [
+        (ground_formula(goal_formula, subst), subst, node)
+        for subst, ctx_out, node in _solve(tuple(initial.items()),
+                                           goal_formula, _Subst(), 0, state)
+        if not ctx_out  # linear logic: every premise must be used
+    ]
+    stats.proofs_found = len(results)
+    if not results and stats.nonpattern is not None:
+        raise NonPatternUnification(
+            "search failed and hit a unification problem outside the "
+            f"pattern fragment: {stats.nonpattern}"
+        )
+    return initial, results
+
+
+def _proof(initial: dict[int, Formula], goal: Formula, subst: _Subst,
+           node: _SNode) -> Proof:
+    ctx = {fid: ground_formula(f, subst) for fid, f in initial.items()}
+    return _replay(node, ctx, goal, subst)
 
 
 def prove(premises: Sequence[Union[Premise, Formula]],
@@ -776,22 +764,8 @@ def prove(premises: Sequence[Union[Premise, Formula]],
           limits: Optional[SearchLimits] = None,
           stats: Optional[SearchStats] = None) -> list[Proof]:
     """All cut-free derivations of the goal that use every premise once."""
-    state, goal_formula, initial, results = _search(
-        premises, goal, limits, stats
-    )
-    proofs = []
-    for subst, node in results:
-        ground_goal = zonk_formula(goal_formula, subst, final=True)
-        ctx = {fid: zonk_formula(f, subst, final=True)
-               for fid, f in initial.items()}
-        proofs.append(_replay(node, ctx, ground_goal, subst))
-    state.stats.proofs_found = len(proofs)
-    if not proofs and state.stats.nonpattern is not None:
-        raise NonPatternUnification(
-            "search failed and hit a unification problem outside the "
-            f"pattern fragment: {state.stats.nonpattern}"
-        )
-    return proofs
+    initial, results = _derivations(premises, goal, limits, stats)
+    return [_proof(initial, *result) for result in results]
 
 
 def derive_readings(premises: Sequence[Union[Premise, Formula]],
@@ -799,28 +773,15 @@ def derive_readings(premises: Sequence[Union[Premise, Formula]],
                     limits: Optional[SearchLimits] = None,
                     stats: Optional[SearchStats] = None) -> list[Reading]:
     """Distinct normalized meanings derivable for a projection."""
-    own_stats = stats if stats is not None else SearchStats()
-    state, goal_formula, initial, results = _search(
-        premises, goal, limits, own_stats
-    )
-    hole = goal_formula.meaning
+    stats = stats if stats is not None else SearchStats()
+    initial, results = _derivations(premises, goal, limits, stats)
     by_key: dict[str, Reading] = {}
-    for subst, node in results:
-        term = normalize(_zonk_final_term(hole, subst))
-        key = canonical_key(term)
-        if key in by_key:
-            continue  # distinct proofs of one normal form are one reading
-        ground_goal = zonk_formula(goal_formula, subst, final=True)
-        ctx = {fid: zonk_formula(f, subst, final=True)
-               for fid, f in initial.items()}
-        by_key[key] = Reading(term, _replay(node, ctx, ground_goal, subst))
-    own_stats.proofs_found = len(results)
-    own_stats.readings = len(by_key)
-    if not by_key and own_stats.nonpattern is not None:
-        raise NonPatternUnification(
-            "search failed and hit a unification problem outside the "
-            f"pattern fragment: {own_stats.nonpattern}"
-        )
+    for ground_goal, subst, node in results:
+        key = canonical_key(ground_goal.meaning)
+        if key not in by_key:  # other proofs of one meaning add no reading
+            by_key[key] = Reading(ground_goal.meaning,
+                                  _proof(initial, ground_goal, subst, node))
+    stats.readings = len(by_key)
     return [by_key[k] for k in sorted(by_key)]
 
 

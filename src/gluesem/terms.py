@@ -571,12 +571,12 @@ class _Namer:
         return name
 
 
-def format_term(t: Term, sugar: bool = True, annotate: bool = True) -> str:
+def format_term(t: Term) -> str:
     """Render a term; binder names are regenerated deterministically.
 
-    With annotate=True (the default) lambda binders carry their types, which
-    makes the output re-parseable. Quantifier sugar binders are entity typed
-    by construction and never annotated.
+    Lambda binders carry their types, which makes the output re-parseable.
+    Quantifier sugar binders are entity typed by construction and never
+    annotated.
     """
     frees = free_vars(t)
     names: dict[str, str] = {}
@@ -591,7 +591,7 @@ def format_term(t: Term, sugar: bool = True, annotate: bool = True) -> str:
                 names[v.name] = v.name
     taken = set(names.values()) | {c.name for c in _collect(t, Const)}
     namer = _Namer(taken)
-    return _render(t, names, namer, sugar, annotate, top=True)
+    return _render(t, names, namer, top=True)
 
 
 def _display_var(name: str, names: dict[str, str]) -> str:
@@ -601,7 +601,7 @@ def _display_var(name: str, names: dict[str, str]) -> str:
 
 
 def _render(t: Term, names: dict[str, str], namer: _Namer,
-            sugar: bool, annotate: bool, top: bool = False) -> str:
+            top: bool = False) -> str:
     if isinstance(t, Var):
         return _display_var(t.name, names)
     if isinstance(t, Const):
@@ -612,65 +612,56 @@ def _render(t: Term, names: dict[str, str], namer: _Namer,
         name = namer.next_for(t.var.ty)
         inner = dict(names)
         inner[t.var.name] = name
-        body = _render(t.body, inner, namer, sugar, annotate, top=True)
-        if annotate:
-            ty_text = format_type(t.var.ty)
-            if isinstance(t.var.ty, ArrowType):
-                ty_text = f"({ty_text})"
-            binder = f"{name}:{ty_text}"
-        else:
-            binder = name
-        text = f"\\{binder}. {body}"
+        body = _render(t.body, inner, namer, top=True)
+        ty_text = format_type(t.var.ty)
+        if isinstance(t.var.ty, ArrowType):
+            ty_text = f"({ty_text})"
+        text = f"\\{name}:{ty_text}. {body}"
         return text if top else f"({text})"
     if isinstance(t, Up):
-        return f"^{_render_operand(t.body, names, namer, sugar, annotate)}"
+        return f"^{_render_operand(t.body, names, namer)}"
     if isinstance(t, Down):
-        return f"!{_render_operand(t.body, names, namer, sugar, annotate)}"
+        return f"!{_render_operand(t.body, names, namer)}"
     if isinstance(t, App):
         head, args = spine(t)
         if (
-            sugar
-            and isinstance(head, Const)
+            isinstance(head, Const)
             and head.ty == QUANTIFIER_TYPE
             and len(args) == 2
         ):
             name = namer.next_for(E)
-            parts = [
-                _render_applied(arg, name, names, namer, sugar, annotate)
-                for arg in args
-            ]
+            parts = [_render_applied(arg, name, names, namer) for arg in args]
             return f"{head.name}({name}, {parts[0]}, {parts[1]})"
-        head_text = _render_operand(head, names, namer, sugar, annotate)
+        head_text = _render_operand(head, names, namer)
         rendered = []
         for a in args:
             # lambdas in argument position keep their parentheses for clarity
-            rendered.append(_render(a, names, namer, sugar, annotate,
+            rendered.append(_render(a, names, namer,
                                     top=not isinstance(a, Lam)))
         return f"{head_text}({', '.join(rendered)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render_operand(t: Term, names: dict[str, str], namer: _Namer,
-                    sugar: bool, annotate: bool) -> str:
+def _render_operand(t: Term, names: dict[str, str], namer: _Namer) -> str:
     """Render the operand of ^, ! or a call head; wrap non-atoms in parens."""
     if isinstance(t, (Var, Const, MetaVar)):
-        return _render(t, names, namer, sugar, annotate)
+        return _render(t, names, namer)
     if isinstance(t, (Up, Down)):
-        return _render(t, names, namer, sugar, annotate)
-    return f"({_render(t, names, namer, sugar, annotate, top=True)})"
+        return _render(t, names, namer)
+    return f"({_render(t, names, namer, top=True)})"
 
 
 def _render_applied(f: Term, var_name: str, names: dict[str, str],
-                    namer: _Namer, sugar: bool, annotate: bool) -> str:
+                    namer: _Namer) -> str:
     """Render f as applied to the sugar binder, unfolding abstractions."""
     if isinstance(f, Lam):
         inner = dict(names)
         inner[f.var.name] = var_name
-        return _render(f.body, inner, namer, sugar, annotate, top=True)
+        return _render(f.body, inner, namer, top=True)
     # eta-contracted argument: extend its application spine with the binder
     head, args = spine(f)
-    head_text = _render_operand(head, names, namer, sugar, annotate)
-    rendered = [_render(a, names, namer, sugar, annotate,
-                        top=not isinstance(a, Lam)) for a in args]
+    head_text = _render_operand(head, names, namer)
+    rendered = [_render(a, names, namer, top=not isinstance(a, Lam))
+                for a in args]
     rendered.append(var_name)
     return f"{head_text}({', '.join(rendered)})"

@@ -1,11 +1,16 @@
 """Command line behaviour: exit codes, output formats, batch evaluation."""
 
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
+from conftest import SCENARIO_NAMES
 
 from gluesem.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NO_READINGS = """scenario unused-verb
 lexicon {lexicon}
@@ -96,6 +101,21 @@ def test_run_json_trace_carries_proof_trees(corpus_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["traces"]) == 1
     assert payload["traces"][0]["rule"]
+
+
+@pytest.mark.parametrize("flags, suffix", [
+    (["--trace"], "trace.txt"),
+    (["--json", "--trace"], "trace.json"),
+], ids=["trace", "json-trace"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_run_trace_is_byte_identical_to_golden(corpus_dir, capsys, name,
+                                               flags, suffix):
+    code = main(["run", scenario_path(corpus_dir, name), *flags])
+    assert code == 0
+    # the run time is the only field that differs between runs
+    out = re.sub(r'^  "seconds": .*\n', "", capsys.readouterr().out,
+                 flags=re.M)
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
 def test_run_max_depth_flags_the_limit(corpus_dir, capsys):

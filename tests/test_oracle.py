@@ -28,6 +28,34 @@ def test_printed_forms_also_agree(corpus):
         [format_term(r.meaning) for r in searched]
 
 
+def test_agrees_with_search_on_a_pair_premise():
+    # prepare_premises splits the top-level pair for both enumerators; each
+    # half is a quantified NP, so the two scopings must both come out
+    quantifier = parse_type("(e -> t) -> (e -> t) -> t")
+    sig = {"every": quantifier, "a": quantifier,
+           "man": parse_type("e -> t"), "woman": parse_type("e -> t"),
+           "meet": parse_type("e -> e -> t")}
+
+    def np(det, noun, proj):
+        return (f"(forall H:proj(t), S:e -> t. "
+                f"(forall x:e. {proj}.sig ~> x -o H ~> S(x)) "
+                f"-o H ~> {det}(z, {noun}(z), S(z)))")
+
+    premises = [
+        parse_glue(f"{np('every', 'man', 'g')} * {np('a', 'woman', 'h')}",
+                   sig),
+        parse_glue("forall Z:e, Y:e. "
+                   "g.sig ~> Z -o h.sig ~> Y -o f.sig ~> meet(Z, Y)", sig),
+    ]
+    searched = derive_readings(premises, "f")
+    enumerated = oracle_enumerate(premises, "f")
+    assert [format_term(r.meaning) for r in enumerated] == [
+        "a(z, woman(z), every(u, man(u), meet(u, z)))",
+        "every(z, man(z), a(u, woman(u), meet(z, u)))",
+    ]
+    assert keys(enumerated) == keys(searched)
+
+
 def test_enumerated_readings_carry_no_proof(corpus):
     scenario, prems = corpus["bill-left"]
     for reading in oracle_enumerate(prems, scenario.goal):

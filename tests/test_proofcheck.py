@@ -14,6 +14,7 @@ from gluesem.types import E, parse_type
 SIG = {
     "Bill": parse_type("e"),
     "leave": parse_type("e -> t"),
+    "meet": parse_type("e -> e -> t"),
 }
 
 BILL = parse_glue("g.sig ~> Bill", SIG)
@@ -51,6 +52,17 @@ def test_theorem_proofs_check_against_their_statement():
     check_proof(prove_theorem(raising), premises=(), goal=raising)
 
 
+def test_tensor_antecedent_goal_checks_against_its_statement():
+    # the search proves the curried goal; the stated one is curried to match
+    goal = parse_glue(
+        "forall X:e, Y:e. g.sig ~> X * h.sig ~> Y -o "
+        "(forall Z:e, W:e. g.sig ~> Z -o h.sig ~> W -o f.sig ~> meet(Z, W)) "
+        "-o f.sig ~> meet(X, Y)", SIG)
+    proof = prove_theorem(goal)
+    check_proof(proof, premises=(), goal=goal)
+    check_proof(proof, Sequent((), goal))
+
+
 # ---------------------------------------------------------------------------
 # rejecting forgeries
 
@@ -75,6 +87,17 @@ def test_unknown_rule_rejected(corpus):
     [reading] = derive_readings(prems, scenario.goal)
     forged = dataclasses.replace(reading.proof, rule="modus_ponens")
     with pytest.raises(InvalidStep, match="unknown rule"):
+        check_proof(forged)
+
+
+def test_tensor_left_is_not_a_rule():
+    # the calculus has no tensor-left step: pairs are split or curried away
+    # before the search, so the checker accepts no such node
+    pair = parse_glue("g.sig ~> Bill * g.sig ~> Bill", SIG)
+    forged = Proof("tensor_left", Sequent((pair,), BILL), (
+        Proof("axiom", Sequent((BILL, BILL), BILL)),
+    ))
+    with pytest.raises(InvalidStep, match="unknown rule 'tensor_left'"):
         check_proof(forged)
 
 
