@@ -649,7 +649,7 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
 
     ctx maps entry ids to ground formulas; introducing an implication adds
     its hypothesis. A focused entry is shown at each stage of its
-    decomposition without being written back.
+    decomposition, with its meanings normalized, without being written back.
     """
     def sequent(ids: frozenset[int], focused: Optional[Formula] = None):
         return Sequent(tuple(focused if i == node.entry_id else ctx[i]
@@ -673,7 +673,8 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
             else _ground_proj(hole, subst)
         chain.append(Proof("forall_left", sequent(ids, f),
                            instantiation=value))
-        f = instantiate(f, value)
+        f = map_atoms(instantiate(f, value), lambda a: GlueAtom(
+            a.proj, normalize(a.meaning), a.result_type))
     for ant in node.ants:
         seq = sequent(ids, f)
         left = _replay(ant, ctx, ground_formula(f.left, subst), subst)

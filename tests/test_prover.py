@@ -9,7 +9,7 @@ from gluesem.errors import (
     NonPatternUnification,
     NotProvable,
 )
-from gluesem.glue import Tensor, format_glue, parse_glue
+from gluesem.glue import Tensor, atoms, format_glue, parse_glue
 from gluesem.lexicon import parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
 from gluesem.proofcheck import check_proof
@@ -23,7 +23,7 @@ from gluesem.prover import (
     prove,
     prove_theorem,
 )
-from gluesem.terms import format_term
+from gluesem.terms import format_term, normalize
 from gluesem.types import parse_type
 
 SIG = {
@@ -294,6 +294,23 @@ def test_format_proof_shows_rules_and_instantiations(corpus):
     assert ":=" in text or "fresh" in text
     # one rule per line, indented by depth
     assert all(line.lstrip() for line in text.splitlines())
+
+
+def test_replayed_sequents_show_normal_meanings(corpus):
+    # each stage of a focused premise is shown with its meanings normalized,
+    # so a trace never prints a beta-redex such as (\z:e. leave(z))(x)
+    def nodes(proof):
+        yield proof
+        for child in proof.children:
+            yield from nodes(child)
+
+    for scenario, prems in corpus.values():
+        for proof in prove(prems, scenario.goal):
+            for node in nodes(proof):
+                for f in node.sequent.context + (node.sequent.goal,):
+                    for atom in atoms(f):
+                        assert atom.meaning == normalize(atom.meaning), \
+                            (scenario.name, format_proof(node))
 
 
 def test_proof_json_shape(corpus):
