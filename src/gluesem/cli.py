@@ -111,14 +111,19 @@ def run(scenario_path: str, lexicon_path: Optional[str] = None, *,
     return count
 
 
-def _read_expected(path: Path, scenario: Scenario) -> list[str]:
+def _read_expected(path: Path,
+                   scenario: Scenario) -> tuple[list[str], list[str]]:
+    """The golden lines and their sorted reading keys.
+
+    A corrupted line fails to parse here, loudly.
+    """
     lines = [line.strip() for line in path.read_text(encoding="utf-8")
              .splitlines()]
     lines = [line for line in lines if line]
     signature = scenario.lexicon.signature
-    for line in lines:
-        parse_term(line, signature)  # corrupted lines fail here, loudly
-    return lines
+    keys = sorted(canonical_key(normalize(parse_term(line, signature)))
+                  for line in lines)
+    return lines, keys
 
 
 def _batch_one(directory: Path, max_depth: Optional[int],
@@ -133,13 +138,8 @@ def _batch_one(directory: Path, max_depth: Optional[int],
             return False, [f"{directory.name}: FAIL (no expected file)"]
         readings, _, seconds = _derive(scenario, max_depth, oracle,
                                        err_buffer)
-        expected = _read_expected(expected_path, scenario)
+        expected, want_keys = _read_expected(expected_path, scenario)
         got = [format_term(r.meaning) for r in readings]
-        want_keys = sorted(
-            canonical_key(normalize(
-                parse_term(line, scenario.lexicon.signature)))
-            for line in expected
-        )
         got_keys = [canonical_key(r.meaning) for r in readings]
         if want_keys == got_keys:
             lines.append(f"{directory.name}: PASS "

@@ -12,6 +12,7 @@ from gluesem.errors import (
 from gluesem.glue import Tensor, atoms, format_glue, parse_glue
 from gluesem.lexicon import parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
+from gluesem.oracle import oracle_enumerate
 from gluesem.proofcheck import check_proof
 from gluesem.prover import (
     Proof,
@@ -210,6 +211,43 @@ def test_nonpattern_unification_is_reported():
     ]
     with pytest.raises(NonPatternUnification):
         derive_readings(premises, "f")
+
+
+def _agreed_reading(premises):
+    """The one reading, after checking its proof and the oracle's answer."""
+    readings = derive_readings(premises, "f")
+    for reading in readings:
+        check_proof(reading.proof, premises=premises, goal="f")
+    assert [format_term(r.meaning) for r in oracle_enumerate(premises, "f")] \
+        == [format_term(r.meaning) for r in readings]
+    [reading] = readings
+    return format_term(reading.meaning)
+
+
+def test_copy_premise_unifies_two_distinct_holes():
+    # the copy premise's head h.sig ~> ?X meets the subgoal h.sig ~> ?Y left
+    # by leave: a flex-flex problem between two different holes
+    sig = {"Bill": parse_type("e"), "leave": parse_type("e -> t")}
+    premises = [
+        parse_glue("g.sig ~> Bill", sig),
+        parse_glue("forall X:e. g.sig ~> X -o h.sig ~> X", sig),
+        parse_glue("forall X:e. h.sig ~> X -o f.sig ~> leave(X)", sig),
+    ]
+    assert _agreed_reading(premises) == "leave(Bill)"
+
+
+def test_abstractions_unify_under_a_shared_eigenvariable():
+    # both restrictions are abstractions, so unification opens them with one
+    # eigenvariable and solves N(x) = x inside
+    sig = {"a": parse_type("(e -> t) -> (e -> t) -> t"),
+           "find": parse_type("e -> e -> t"),
+           "leave": parse_type("e -> t"), "done": parse_type("t")}
+    premises = [
+        parse_glue("g.sig ~> a(z, find(z, z), leave(z))", sig),
+        parse_glue("forall N:e -> e. g.sig ~> a(z, find(N(z), z), leave(z))"
+                   " -o f.sig ~> done", sig),
+    ]
+    assert _agreed_reading(premises) == "done"
 
 
 # ---------------------------------------------------------------------------
