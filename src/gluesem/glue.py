@@ -284,22 +284,11 @@ def _check(f: Formula, env: dict[str, SimpleType],
         _check(f.right, env, proj_env)
         return
     if isinstance(f, Forall):
-        if isinstance(f.binder, MeaningBinder):
-            saved = env.get(f.binder.name)
-            env[f.binder.name] = f.binder.ty
-            _check(f.body, env, proj_env)
-            if saved is None:
-                del env[f.binder.name]
-            else:
-                env[f.binder.name] = saved
+        b = f.binder
+        if isinstance(b, MeaningBinder):
+            _check(f.body, {**env, b.name: b.ty}, proj_env)
         else:
-            saved = proj_env.get(f.binder.name)
-            proj_env[f.binder.name] = f.binder.index
-            _check(f.body, env, proj_env)
-            if saved is None:
-                del proj_env[f.binder.name]
-            else:
-                proj_env[f.binder.name] = saved
+            _check(f.body, env, {**proj_env, b.name: b.index})
         return
     raise TypeError(f"not a formula: {f!r}")
 

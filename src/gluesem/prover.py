@@ -50,6 +50,7 @@ from .glue import (
 from .lexicon import Premise
 from .terms import (
     App,
+    Bound,
     Const,
     Down,
     Lam,
@@ -62,10 +63,11 @@ from .terms import (
     format_term,
     free_meta_vars,
     infer_type,
+    lam,
     map_metas,
     normalize,
+    open_lam,
     spine,
-    subst_map,
 )
 from .types import ArrowType, SimpleType, T
 
@@ -245,9 +247,8 @@ def _unify(a: Term, b: Term, subst: _Subst, state: _State) -> Optional[_Subst]:
         return _solve_flex(hb, bas, a, subst, state)
     # rigid versus rigid
     if isinstance(a, Lam) or isinstance(b, Lam):
-        lam = a if isinstance(a, Lam) else b
-        uid = state.fresh()
-        eigen = Var(f"{lam.var.name}#{uid}", lam.var.ty)
+        ty = a.ty if isinstance(a, Lam) else b.ty
+        eigen = Var(f"x#{state.fresh()}", ty)
         return _unify(normalize(_apply_one(a, eigen)),
                       normalize(_apply_one(b, eigen)), subst, state)
     if isinstance(a, Up) and isinstance(b, Up):
@@ -287,9 +288,7 @@ def _unify_heads(ha: Term, hb: Term, subst: _Subst,
 
 
 def _apply_one(f: Term, arg: Term) -> Term:
-    if isinstance(f, Lam):
-        return subst_map(f.body, {f.var.name: arg})
-    return App(f, arg)
+    return open_lam(f, arg) if isinstance(f, Lam) else App(f, arg)
 
 
 def _record_nonpattern(state: _State, why: str) -> None:
@@ -356,7 +355,7 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
 
     current = subst
 
-    def invert(t: Term, bound: set[str]) -> Optional[Term]:
+    def invert(t: Term) -> Optional[Term]:
         nonlocal current
         t = normalize(zonk_term(t, current))
         head, targs = spine(t)
@@ -377,47 +376,43 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
                 targs = list(raw_args) + targs
             out: Term = head
             for ta in targs:
-                inv = invert(ta, bound)
+                inv = invert(ta)
                 if inv is None:
                     return None
                 out = App(out, inv)
             return out
         if isinstance(t, Var):
-            if t.name in bound:
-                return t
             if t.name in bare_map:
                 return bare_map[t.name]
             if _is_eigen(t):
                 return t if _eigen_level(t) < m.level else None
             return t
-        if isinstance(t, Const):
+        if isinstance(t, (Const, Bound)):
             return t
         if isinstance(t, Up):
-            if (isinstance(t.body, Var) and t.body.name not in bound
-                    and t.body.name in up_map):
+            if isinstance(t.body, Var) and t.body.name in up_map:
                 return up_map[t.body.name]
-            body = invert(t.body, bound)
+            body = invert(t.body)
             return None if body is None else Up(body)
         if isinstance(t, Down):
-            body = invert(t.body, bound)
+            body = invert(t.body)
             return None if body is None else Down(body)
         if isinstance(t, Lam):
-            body = invert(t.body, bound | {t.var.name})
-            return None if body is None else Lam(t.var, body)
+            body = invert(t.body)
+            return None if body is None else Lam(t.ty, body)
         if isinstance(t, App):
-            fn = invert(t.fn, bound)
-            arg = invert(t.arg, bound)
+            fn = invert(t.fn)
+            arg = invert(t.arg)
             if fn is None or arg is None:
                 return None
             return App(fn, arg)
         raise TypeError(f"not a term: {t!r}")
 
-    inverted = invert(rhs, set())
-    if inverted is None:
+    solution = invert(rhs)
+    if solution is None:
         return None
-    solution = inverted
     for binder in reversed(binders):
-        solution = Lam(binder, solution)
+        solution = lam(binder, solution)
     solution = normalize(solution)
     if infer_type(solution) != m.ty:
         return None
@@ -452,7 +447,7 @@ def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
         body = app(fresh, *[binders[i] for i in keep])
         solution = body
         for binder in reversed(binders):
-            solution = Lam(binder, solution)
+            solution = lam(binder, solution)
         return subst.bind_meaning(ma.uid, normalize(solution))
     # different heads: restrict both to their shared arguments
     b_index = {bas[i]: i for i in range(len(bas))}
@@ -469,9 +464,9 @@ def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
     a_sol = app(fresh, *[a_binders[i] for i, _ in shared])
     b_sol = app(fresh, *[b_binders[j] for _, j in shared])
     for binder in reversed(a_binders):
-        a_sol = Lam(binder, a_sol)
+        a_sol = lam(binder, a_sol)
     for binder in reversed(b_binders):
-        b_sol = Lam(binder, b_sol)
+        b_sol = lam(binder, b_sol)
     out = subst.bind_meaning(ma.uid, normalize(a_sol))
     return out.bind_meaning(mb.uid, normalize(b_sol))
 

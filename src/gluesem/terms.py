@@ -13,6 +13,13 @@ Written syntax:
                            so !P(z) is (!P)(z)
     every(z, man(z), S(z)) generalized-quantifier sugar for a determiner
                            constant applied to two abstractions over z
+
+Terms are locally nameless. A lambda binder has no name: its body refers to
+it by a Bound leaf whose index counts the binders crossed to reach it, 0 for
+the nearest. Var is always free (a formula variable or an eigenvariable), so
+alpha-equality is structural equality. lam(var, body) abstracts a free
+variable and open_lam(f, value) takes one beta step; the parser and the
+printer translate to and from the named syntax above.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ class Const(Term):
 
 @dataclass(frozen=True)
 class Var(Term):
+    """A free variable; lambda-bound occurrences are Bound leaves."""
+
     name: str
     ty: SimpleType
 
@@ -62,8 +71,18 @@ class Var(Term):
 
 
 @dataclass(frozen=True)
+class Bound(Term):
+    """A lambda-bound occurrence; index 0 refers to the nearest binder."""
+
+    index: int
+    ty: SimpleType
+
+
+@dataclass(frozen=True)
 class Lam(Term):
-    var: Var
+    """Abstraction over a variable of type ty, referred to as Bound(0, ty)."""
+
+    ty: SimpleType
     body: Term
 
     def __repr__(self):
@@ -134,27 +153,7 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 
 def free_vars(t: Term) -> frozenset[Var]:
-    out: set[Var] = set()
-    _collect_free(t, set(), out)
-    return frozenset(out)
-
-
-def _collect_free(t: Term, bound: set[str], out: set[Var]) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound:
-            out.add(t)
-    elif isinstance(t, Lam):
-        if t.var.name in bound:
-            _collect_free(t.body, bound, out)
-        else:
-            bound.add(t.var.name)
-            _collect_free(t.body, bound, out)
-            bound.discard(t.var.name)
-    elif isinstance(t, App):
-        _collect_free(t.fn, bound, out)
-        _collect_free(t.arg, bound, out)
-    elif isinstance(t, (Up, Down)):
-        _collect_free(t.body, bound, out)
+    return frozenset(_collect(t, Var))
 
 
 def free_meta_vars(t: Term) -> set[MetaVar]:
@@ -162,7 +161,7 @@ def free_meta_vars(t: Term) -> set[MetaVar]:
 
 
 def _collect(t: Term, cls: type) -> set:
-    """Every subterm that is an instance of cls; binders are not descended."""
+    """Every subterm that is an instance of cls."""
     out: set = set()
     stack = [t]
     while stack:
@@ -177,24 +176,58 @@ def _collect(t: Term, cls: type) -> set:
     return out
 
 
-def map_metas(t: Term, fn: Callable[[MetaVar], Term]) -> Term:
-    """Replace every metavariable m by fn(m).
+def map_leaves(t: Term, fn: Callable[[Term, int], Term],
+               depth: int = 0) -> Term:
+    """Replace every leaf u by fn(u, number of binders crossed to reach u).
 
-    Subterms with no metavariable to replace come back as the same objects.
+    Subterms in which fn replaces nothing come back as the same objects.
     """
-    if isinstance(t, MetaVar):
-        return fn(t)
     if isinstance(t, App):
-        head = map_metas(t.fn, fn)
-        arg = map_metas(t.arg, fn)
+        head = map_leaves(t.fn, fn, depth)
+        arg = map_leaves(t.arg, fn, depth)
         return t if head is t.fn and arg is t.arg else App(head, arg)
     if isinstance(t, Lam):
-        body = map_metas(t.body, fn)
-        return t if body is t.body else Lam(t.var, body)
+        body = map_leaves(t.body, fn, depth + 1)
+        return t if body is t.body else Lam(t.ty, body)
     if isinstance(t, (Up, Down)):
-        body = map_metas(t.body, fn)
+        body = map_leaves(t.body, fn, depth)
         return t if body is t.body else type(t)(body)
-    return t
+    return fn(t, depth)
+
+
+def map_metas(t: Term, fn: Callable[[MetaVar], Term]) -> Term:
+    """Replace every metavariable m by fn(m), which must hold no loose index."""
+    return map_leaves(t, lambda u, _: fn(u) if isinstance(u, MetaVar) else u)
+
+
+def lam(var: Var, body: Term) -> Lam:
+    """Abstract the free variable var of body."""
+    def leaf(u: Term, depth: int) -> Term:
+        if isinstance(u, Var) and u.name == var.name:
+            return Bound(depth, var.ty)
+        if isinstance(u, Bound) and u.index >= depth:
+            return Bound(u.index + 1, u.ty)
+        return u
+    return Lam(var.ty, map_leaves(body, leaf))
+
+
+def open_lam(f: Lam, value: Term) -> Term:
+    """One beta step: the body of f with value in place of its binder."""
+    def leaf(u: Term, depth: int) -> Term:
+        if not isinstance(u, Bound) or u.index < depth:
+            return u
+        if u.index > depth:
+            return Bound(u.index - 1, u.ty)
+        return _shift(value, depth)
+    return map_leaves(f.body, leaf)
+
+
+def _shift(t: Term, by: int) -> Term:
+    """Add by to every loose index of t, as when t moves under by binders."""
+    if not by:
+        return t
+    return map_leaves(t, lambda u, depth: Bound(u.index + by, u.ty)
+                      if isinstance(u, Bound) and u.index >= depth else u)
 
 
 def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
@@ -207,8 +240,14 @@ def infer_type(t: Term) -> SimpleType:
     return _tc(t, None)
 
 
-def _tc(t: Term, env: Optional[dict[str, SimpleType]]) -> SimpleType:
+def _tc(t: Term, env: Optional[dict[str, SimpleType]],
+        binders: tuple[SimpleType, ...] = ()) -> SimpleType:
     if isinstance(t, (Const, MetaVar)):
+        return t.ty
+    if isinstance(t, Bound):
+        if env is not None and binders[t.index:t.index + 1] != (t.ty,):
+            raise UnboundVariable(f"no binder of type {format_type(t.ty)} "
+                                  f"at index {t.index}")
         return t.ty
     if isinstance(t, Var):
         if env is None:
@@ -223,20 +262,10 @@ def _tc(t: Term, env: Optional[dict[str, SimpleType]]) -> SimpleType:
             )
         return t.ty
     if isinstance(t, Lam):
-        if env is None:
-            body = _tc(t.body, None)
-        else:
-            saved = env.get(t.var.name)
-            env[t.var.name] = t.var.ty
-            body = _tc(t.body, env)
-            if saved is None:
-                del env[t.var.name]
-            else:
-                env[t.var.name] = saved
-        return ArrowType(t.var.ty, body)
+        return ArrowType(t.ty, _tc(t.body, env, (t.ty,) + binders))
     if isinstance(t, App):
-        fn_ty = _tc(t.fn, env)
-        arg_ty = _tc(t.arg, env)
+        fn_ty = _tc(t.fn, env, binders)
+        arg_ty = _tc(t.arg, env, binders)
         if not isinstance(fn_ty, ArrowType):
             raise TypeMismatch(
                 f"cannot apply term of type {format_type(fn_ty)}"
@@ -248,9 +277,9 @@ def _tc(t: Term, env: Optional[dict[str, SimpleType]]) -> SimpleType:
             )
         return fn_ty.cod
     if isinstance(t, Up):
-        return ArrowType(S, _tc(t.body, env))
+        return ArrowType(S, _tc(t.body, env, binders))
     if isinstance(t, Down):
-        body_ty = _tc(t.body, env)
+        body_ty = _tc(t.body, env, binders)
         if not isinstance(body_ty, ArrowType) or body_ty.dom != S:
             raise ExtensionOfNonIntension(
                 f"! applied to term of type {format_type(body_ty)}"
@@ -260,7 +289,10 @@ def _tc(t: Term, env: Optional[dict[str, SimpleType]]) -> SimpleType:
 
 
 def substitute(t: Term, var: Var, value: Term) -> Term:
-    """Capture-avoiding substitution of value for free occurrences of var."""
+    """Substitute value for the occurrences of the free variable var.
+
+    Bound occurrences are indices, so no value can be captured.
+    """
     value_ty = infer_type(value)
     if value_ty != var.ty:
         raise TypeMismatch(
@@ -271,114 +303,83 @@ def substitute(t: Term, var: Var, value: Term) -> Term:
 
 
 def subst_map(t: Term, mapping: Mapping[str, Term]) -> Term:
+    """Substitute free variables by name; the values hold no loose index."""
     if not mapping:
         return t
-    return _subst(t, dict(mapping))
-
-
-def _subst(t: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, (Const, MetaVar)):
-        return t
-    if isinstance(t, App):
-        return App(_subst(t.fn, mapping), _subst(t.arg, mapping))
-    if isinstance(t, Up):
-        return Up(_subst(t.body, mapping))
-    if isinstance(t, Down):
-        return Down(_subst(t.body, mapping))
-    if isinstance(t, Lam):
-        mapping = {k: v for k, v in mapping.items() if k != t.var.name}
-        if not mapping:
-            return t
-        # rename the binder when it would capture a free variable of a value
-        clash = any(
-            t.var.name == fv.name
-            for v in mapping.values()
-            for fv in free_vars(v)
-        )
-        var, body = t.var, t.body
-        if clash:
-            avoid = {fv.name for v in mapping.values() for fv in free_vars(v)}
-            avoid |= {fv.name for fv in free_vars(body)}
-            fresh = _fresh_name(var.name, avoid)
-            renamed = Var(fresh, var.ty)
-            body = _subst(body, {var.name: renamed})
-            var = renamed
-        return Lam(var, _subst(body, mapping))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _fresh_name(base: str, avoid: set[str]) -> str:
-    stem = base.rstrip("0123456789") or base
-    n = 2
-    while f"{stem}{n}" in avoid:
-        n += 1
-    return f"{stem}{n}"
+    return map_leaves(t, lambda u, _: mapping.get(u.name, u)
+                      if isinstance(u, Var) else u)
 
 
 def normalize(t: Term) -> Term:
-    """Beta-normalize, eta-contract and erase !(^M) redexes."""
-    if isinstance(t, (Const, Var, MetaVar)):
+    """Beta-normalize, eta-contract and erase !(^M) redexes.
+
+    Subterms already in normal form come back as the same objects.
+    """
+    if isinstance(t, (Const, Var, Bound, MetaVar)):
         return t
     if isinstance(t, Lam):
         body = normalize(t.body)
-        # eta: \x. f(x) -> f when x is not free in f
-        if (
-            isinstance(body, App)
-            and isinstance(body.arg, Var)
-            and body.arg.name == t.var.name
-            and body.arg.ty == t.var.ty
-            and all(fv.name != t.var.name for fv in free_vars(body.fn))
-        ):
-            return body.fn
-        return Lam(t.var, body)
+        # eta: \x. f(x) -> f when x does not occur in f
+        if (isinstance(body, App) and isinstance(body.arg, Bound)
+                and body.arg.index == 0):
+            fn = _eta_lower(body.fn)
+            if fn is not None:
+                return fn
+        return t if body is t.body else Lam(t.ty, body)
     if isinstance(t, App):
         fn = normalize(t.fn)
         arg = normalize(t.arg)
         if isinstance(fn, Lam):
-            return normalize(subst_map(fn.body, {fn.var.name: arg}))
-        return App(fn, arg)
+            return normalize(open_lam(fn, arg))
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Up):
-        return Up(normalize(t.body))
+        body = normalize(t.body)
+        return t if body is t.body else Up(body)
     if isinstance(t, Down):
         body = normalize(t.body)
         if isinstance(body, Up):
             return body.body
-        return Down(body)
+        return t if body is t.body else Down(body)
     raise TypeError(f"not a term: {t!r}")
 
 
+def _eta_lower(t: Term) -> Optional[Term]:
+    """t under one binder fewer, or None when it mentions that binder."""
+    mentions = []
+
+    def leaf(u: Term, depth: int) -> Term:
+        if not isinstance(u, Bound) or u.index < depth:
+            return u
+        if u.index == depth:
+            mentions.append(u)
+        return Bound(u.index - 1, u.ty)
+    lowered = map_leaves(t, leaf)
+    return None if mentions else lowered
+
+
 def canonical_key(t: Term) -> str:
-    """Nameless rendering used for alpha comparison and stable ordering."""
-    return _key(t, {}, 0)
-
-
-def _key(t: Term, env: dict[str, int], depth: int) -> str:
+    """Text rendering used for the stable ordering of readings."""
+    if isinstance(t, Bound):
+        return f"b{t.index + 1}"
     if isinstance(t, Var):
-        idx = env.get(t.name)
-        if idx is not None:
-            return f"b{depth - idx}"
         return f"v:{t.name}:{format_type(t.ty)}"
     if isinstance(t, Const):
         return f"c:{t.name}:{format_type(t.ty)}"
     if isinstance(t, MetaVar):
         return f"m:{t.uid}"
     if isinstance(t, Lam):
-        inner = dict(env)
-        inner[t.var.name] = depth
-        return f"(\\{format_type(t.var.ty)}.{_key(t.body, inner, depth + 1)})"
+        return f"(\\{format_type(t.ty)}.{canonical_key(t.body)})"
     if isinstance(t, App):
-        return f"({_key(t.fn, env, depth)} {_key(t.arg, env, depth)})"
+        return f"({canonical_key(t.fn)} {canonical_key(t.arg)})"
     if isinstance(t, Up):
-        return f"(^{_key(t.body, env, depth)})"
+        return f"(^{canonical_key(t.body)})"
     if isinstance(t, Down):
-        return f"(!{_key(t.body, env, depth)})"
+        return f"(!{canonical_key(t.body)})"
     raise TypeError(f"not a term: {t!r}")
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
-    return canonical_key(a) == canonical_key(b)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,8 @@ class _TermParser:
         self.text = text
         self.pos = 0
         self.sig = signature
-        self.bound: dict[str, SimpleType] = dict(var_types)
+        self.frees = var_types
+        self.binders: tuple[tuple[str, SimpleType], ...] = ()  # nearest first
 
     def error(self, msg: str) -> TermSyntaxError:
         return TermSyntaxError(msg, self.pos)
@@ -432,15 +434,11 @@ class _TermParser:
             self.expect(":")
             ty, self.pos = _parse_type_at(self.text, self.pos)
             self.expect(".")
-            var = Var(name, ty)
-            saved = self.bound.get(name)
-            self.bound[name] = ty
+            outer = self.binders
+            self.binders = ((name, ty),) + outer
             body = self.term()
-            if saved is None:
-                del self.bound[name]
-            else:
-                self.bound[name] = saved
-            return Lam(var, body)
+            self.binders = outer
+            return Lam(ty, body)
         return self.postfix()
 
     def postfix(self) -> Term:
@@ -464,8 +462,11 @@ class _TermParser:
             self.expect(")")
             return t
         name = self.ident()
-        if name in self.bound:
-            return Var(name, self.bound[name])
+        for index, (bound, ty) in enumerate(self.binders):
+            if bound == name:
+                return Bound(index, ty)
+        if name in self.frees:
+            return Var(name, self.frees[name])
         if name in self.sig:
             return Const(name, self.sig[name])
         raise self.error(f"unknown identifier {name!r}")
@@ -495,9 +496,8 @@ class _TermParser:
         if after >= len(self.text) or self.text[after] != ",":
             return None
         self.pos = after + 1
-        var = Var(name, E)
-        outer = self.bound.get(name)
-        self.bound[name] = E
+        outer = self.binders
+        self.binders = ((name, E),) + outer
         try:
             restriction = self.term()
             if self.peek() != ",":
@@ -510,16 +510,10 @@ class _TermParser:
         except TermSyntaxError:
             # not the sugared form after all; reparse as a plain call
             self.pos = saved
-            if outer is None:
-                self.bound.pop(name, None)
-            else:
-                self.bound[name] = outer
             return None
-        if outer is None:
-            del self.bound[name]
-        else:
-            self.bound[name] = outer
-        return app(head, Lam(var, restriction), Lam(var, scope))
+        finally:
+            self.binders = outer
+        return app(head, Lam(E, restriction), Lam(E, scope))
 
 
 def parse_term(text: str, signature: Mapping[str, SimpleType],
@@ -548,10 +542,12 @@ _FUNC_POOL = ["P", "Q", "R", "S"]
 
 
 class _Namer:
-    """Deterministic fresh display names, assigned in traversal order."""
+    """Display names: fixed ones for free variables, and deterministic fresh
+    ones for binders, assigned in traversal order."""
 
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
+    def __init__(self, names: dict[str, str], taken: set[str]):
+        self.names = names
+        self.taken = taken
         self.entity_count = 0
         self.func_count = 0
 
@@ -578,7 +574,7 @@ def format_term(t: Term) -> str:
     Quantifier sugar binders are entity typed by construction and never
     annotated.
     """
-    frees = free_vars(t)
+    frees = _collect(t, Var)
     names: dict[str, str] = {}
     by_base: dict[str, list[Var]] = {}
     for v in frees:
@@ -590,38 +586,32 @@ def format_term(t: Term) -> str:
             for v in group:
                 names[v.name] = v.name
     taken = set(names.values()) | {c.name for c in _collect(t, Const)}
-    namer = _Namer(taken)
-    return _render(t, names, namer, top=True)
+    return _render(t, _Namer(names, taken), (), top=True)
 
 
-def _display_var(name: str, names: dict[str, str]) -> str:
-    if name in names:
-        return names[name]
-    return name.split("#")[0]
-
-
-def _render(t: Term, names: dict[str, str], namer: _Namer,
+def _render(t: Term, namer: _Namer, scope: tuple[str, ...],
             top: bool = False) -> str:
+    """scope holds the display names of the enclosing binders, nearest first."""
     if isinstance(t, Var):
-        return _display_var(t.name, names)
+        return namer.names[t.name]
+    if isinstance(t, Bound):
+        return scope[t.index]
     if isinstance(t, Const):
         return t.name
     if isinstance(t, MetaVar):
         return f"?{t.name}{t.uid}"
     if isinstance(t, Lam):
-        name = namer.next_for(t.var.ty)
-        inner = dict(names)
-        inner[t.var.name] = name
-        body = _render(t.body, inner, namer, top=True)
-        ty_text = format_type(t.var.ty)
-        if isinstance(t.var.ty, ArrowType):
+        name = namer.next_for(t.ty)
+        body = _render(t.body, namer, (name,) + scope, top=True)
+        ty_text = format_type(t.ty)
+        if isinstance(t.ty, ArrowType):
             ty_text = f"({ty_text})"
         text = f"\\{name}:{ty_text}. {body}"
         return text if top else f"({text})"
     if isinstance(t, Up):
-        return f"^{_render_operand(t.body, names, namer)}"
+        return f"^{_render_operand(t.body, namer, scope)}"
     if isinstance(t, Down):
-        return f"!{_render_operand(t.body, names, namer)}"
+        return f"!{_render_operand(t.body, namer, scope)}"
     if isinstance(t, App):
         head, args = spine(t)
         if (
@@ -630,38 +620,34 @@ def _render(t: Term, names: dict[str, str], namer: _Namer,
             and len(args) == 2
         ):
             name = namer.next_for(E)
-            parts = [_render_applied(arg, name, names, namer) for arg in args]
+            parts = [_render_applied(arg, name, namer, scope) for arg in args]
             return f"{head.name}({name}, {parts[0]}, {parts[1]})"
-        head_text = _render_operand(head, names, namer)
+        head_text = _render_operand(head, namer, scope)
         rendered = []
         for a in args:
             # lambdas in argument position keep their parentheses for clarity
-            rendered.append(_render(a, names, namer,
+            rendered.append(_render(a, namer, scope,
                                     top=not isinstance(a, Lam)))
         return f"{head_text}({', '.join(rendered)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render_operand(t: Term, names: dict[str, str], namer: _Namer) -> str:
+def _render_operand(t: Term, namer: _Namer, scope: tuple[str, ...]) -> str:
     """Render the operand of ^, ! or a call head; wrap non-atoms in parens."""
-    if isinstance(t, (Var, Const, MetaVar)):
-        return _render(t, names, namer)
-    if isinstance(t, (Up, Down)):
-        return _render(t, names, namer)
-    return f"({_render(t, names, namer, top=True)})"
+    if isinstance(t, (Var, Bound, Const, MetaVar, Up, Down)):
+        return _render(t, namer, scope)
+    return f"({_render(t, namer, scope, top=True)})"
 
 
-def _render_applied(f: Term, var_name: str, names: dict[str, str],
-                    namer: _Namer) -> str:
+def _render_applied(f: Term, var_name: str, namer: _Namer,
+                    scope: tuple[str, ...]) -> str:
     """Render f as applied to the sugar binder, unfolding abstractions."""
     if isinstance(f, Lam):
-        inner = dict(names)
-        inner[f.var.name] = var_name
-        return _render(f.body, inner, namer, top=True)
+        return _render(f.body, namer, (var_name,) + scope, top=True)
     # eta-contracted argument: extend its application spine with the binder
     head, args = spine(f)
-    head_text = _render_operand(head, names, namer)
-    rendered = [_render(a, names, namer, top=not isinstance(a, Lam))
+    head_text = _render_operand(head, namer, scope)
+    rendered = [_render(a, namer, scope, top=not isinstance(a, Lam))
                 for a in args]
     rendered.append(var_name)
     return f"{head_text}({', '.join(rendered)})"

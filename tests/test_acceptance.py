@@ -35,6 +35,7 @@ from gluesem.terms import (
     canonical_key,
     format_term,
     infer_type,
+    lam,
     normalize,
     parse_term,
 )
@@ -314,7 +315,7 @@ def _random_term(rng, ty, env, depth):
         return rng.choice(scoped)
     if pick == "lam":
         var = Var(f"v{len(env)}", ty.dom)
-        return Lam(var, _random_term(rng, ty.cod, env + [var], depth - 1))
+        return lam(var, _random_term(rng, ty.cod, env + [var], depth - 1))
     if pick == "up":
         return Up(_random_term(rng, ty.cod, env, depth - 1))
     if pick == "down":
