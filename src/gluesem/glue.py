@@ -36,6 +36,7 @@ from .terms import (
     canonical_key,
     format_term,
     infer_type,
+    normalize,
     parse_term_prefix,
     subst_map,
     typecheck,
@@ -184,6 +185,12 @@ def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def normalize_meanings(f: Formula) -> Formula:
+    """f with the meaning of every atom normalized."""
+    return map_atoms(f, lambda a: GlueAtom(a.proj, normalize(a.meaning),
+                                           a.result_type))
+
+
 def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
     """Open one quantifier, substituting value for the bound variable."""
     binder = f.binder
@@ -252,11 +259,11 @@ def check_wellformed(f: Formula, signature: Mapping[str, SimpleType]) -> None:
     enclosing quantifier (constants come from the signature); each atom's
     meaning must typecheck at exactly the atom's declared index.
     """
-    _check(f, dict(signature), {})
+    _check(f, signature, {})
 
 
-def _check(f: Formula, env: dict[str, SimpleType],
-           proj_env: dict[str, SimpleType]) -> None:
+def _check(f: Formula, env: Mapping[str, SimpleType],
+           proj_env: Mapping[str, SimpleType]) -> None:
     if isinstance(f, GlueAtom):
         if isinstance(f.proj, ProjVar):
             index = proj_env.get(f.proj.name)
@@ -284,11 +291,10 @@ def _check(f: Formula, env: dict[str, SimpleType],
         _check(f.right, env, proj_env)
         return
     if isinstance(f, Forall):
-        b = f.binder
-        if isinstance(b, MeaningBinder):
-            _check(f.body, {**env, b.name: b.ty}, proj_env)
+        if isinstance(f.binder, MeaningBinder):
+            _check(f.body, {**env, f.binder.name: f.binder.ty}, proj_env)
         else:
-            _check(f.body, env, {**proj_env, b.name: b.index})
+            _check(f.body, env, {**proj_env, f.binder.name: f.binder.index})
         return
     raise TypeError(f"not a formula: {f!r}")
 
@@ -526,9 +532,8 @@ class _GlueParser:
         proj = self.proj()
         self.expect("~>")
         self.skip_ws()
-        var_types = dict(self.meaning_env)
         meaning, self.pos = parse_term_prefix(
-            self.text, self.pos, self.sig, var_types
+            self.text, self.pos, self.sig, self.meaning_env
         )
         result_type = infer_type(meaning)
         if isinstance(proj, ProjVar):

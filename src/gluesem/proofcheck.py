@@ -29,7 +29,7 @@ from .glue import (
     curry,
     formula_key,
     instantiate,
-    map_atoms,
+    normalize_meanings,
 )
 from .lexicon import Premise
 from .prover import Proof, Sequent, prepare_premises
@@ -37,13 +37,9 @@ from .terms import MetaVar, Var, alpha_equal, free_vars, normalize
 from .types import T
 
 
-def _normal_atom(a: GlueAtom) -> GlueAtom:
-    return GlueAtom(a.proj, normalize(a.meaning), a.result_type)
-
-
 def _key(f: Formula) -> str:
     """Alpha key with meanings normalized: comparison is up to the laws."""
-    return formula_key(map_atoms(f, _normal_atom))
+    return formula_key(normalize_meanings(f))
 
 
 def _multiset(fs: Sequence[Formula]) -> Counter:

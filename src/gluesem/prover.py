@@ -46,6 +46,7 @@ from .glue import (
     format_proj,
     instantiate,
     map_atoms,
+    normalize_meanings,
 )
 from .lexicon import Premise
 from .terms import (
@@ -444,8 +445,7 @@ def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
         for i in reversed(keep):
             fresh_ty = ArrowType(a_doms[i], fresh_ty)
         fresh = MetaVar(ma.name, state.fresh(), fresh_ty, ma.level)
-        body = app(fresh, *[binders[i] for i in keep])
-        solution = body
+        solution = app(fresh, *[binders[i] for i in keep])
         for binder in reversed(binders):
             solution = lam(binder, solution)
         return subst.bind_meaning(ma.uid, normalize(solution))
@@ -668,8 +668,7 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
             else _ground_proj(hole, subst)
         chain.append(Proof("forall_left", sequent(ids, f),
                            instantiation=value))
-        f = map_atoms(instantiate(f, value), lambda a: GlueAtom(
-            a.proj, normalize(a.meaning), a.result_type))
+        f = normalize_meanings(instantiate(f, value))
     for ant in node.ants:
         seq = sequent(ids, f)
         left = _replay(ant, ctx, ground_formula(f.left, subst), subst)

@@ -196,7 +196,7 @@ def map_leaves(t: Term, fn: Callable[[Term, int], Term],
 
 
 def map_metas(t: Term, fn: Callable[[MetaVar], Term]) -> Term:
-    """Replace every metavariable m by fn(m), which must hold no loose index."""
+    """Replace each metavariable m by fn(m), which holds no loose index."""
     return map_leaves(t, lambda u, _: fn(u) if isinstance(u, MetaVar) else u)
 
 
@@ -232,7 +232,7 @@ def _shift(t: Term, by: int) -> Term:
 
 def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
     """Return the type of t; free variables must be declared in env."""
-    return _tc(t, dict(env) if env else {})
+    return _tc(t, env or {})
 
 
 def infer_type(t: Term) -> SimpleType:
@@ -240,7 +240,7 @@ def infer_type(t: Term) -> SimpleType:
     return _tc(t, None)
 
 
-def _tc(t: Term, env: Optional[dict[str, SimpleType]],
+def _tc(t: Term, env: Optional[Mapping[str, SimpleType]],
         binders: tuple[SimpleType, ...] = ()) -> SimpleType:
     if isinstance(t, (Const, MetaVar)):
         return t.ty
@@ -358,7 +358,7 @@ def _eta_lower(t: Term) -> Optional[Term]:
 
 
 def canonical_key(t: Term) -> str:
-    """Text rendering used for the stable ordering of readings."""
+    """Text rendering that orders and deduplicates readings."""
     if isinstance(t, Bound):
         return f"b{t.index + 1}"
     if isinstance(t, Var):

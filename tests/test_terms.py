@@ -10,6 +10,7 @@ from gluesem.errors import (
 )
 from gluesem.terms import (
     App,
+    Bound,
     Const,
     Down,
     Lam,
@@ -72,6 +73,14 @@ def test_free_variable_must_be_declared():
     assert typecheck(Var("X", E), {"X": E}) == E
 
 
+def test_bound_index_must_match_its_binder():
+    assert typecheck(Lam(E, Bound(0, E))) == arrow(E, E)
+    with pytest.raises(UnboundVariable):
+        typecheck(Bound(0, E))  # no binder at all
+    with pytest.raises(UnboundVariable):
+        typecheck(Lam(E, Bound(0, T)))  # a binder of another type
+
+
 def test_application_domain_mismatch():
     with pytest.raises(TypeMismatch):
         typecheck(App(LEAVE, LEAVE))
@@ -103,6 +112,15 @@ def test_substitution_avoids_capture():
     out = substitute(term, y, x)
     z = Var("z", E)
     assert out == lam(z, app(Const("find", arrow(E, E, T)), z, x))
+
+
+def test_lam_over_an_open_body_shifts_its_loose_index():
+    # the body of \y. find(x, y) mentions y as a loose index; abstracting x
+    # inside it must keep that index pointing past the new binder
+    x = Var("x", E)
+    inner = parse_term("\\y:e. find(x, y)", SIG, {"x": E})
+    rebuilt = Lam(inner.ty, lam(x, inner.body))
+    assert rebuilt == parse_term("\\y:e. \\x:e. find(x, y)", SIG)
 
 
 def test_substitute_rejects_wrong_type():
