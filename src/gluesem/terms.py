@@ -542,8 +542,7 @@ _FUNC_POOL = ["P", "Q", "R", "S"]
 
 
 class _Namer:
-    """Display names: fixed ones for free variables, and deterministic fresh
-    ones for binders, assigned in traversal order."""
+    """Display names: fixed for free variables, fresh for binders in order."""
 
     def __init__(self, names: dict[str, str], taken: set[str]):
         self.names = names
@@ -594,8 +593,9 @@ def _render(t: Term, namer: _Namer, scope: tuple[str, ...],
     """scope holds the display names of the enclosing binders, nearest first."""
     if isinstance(t, Var):
         return namer.names[t.name]
-    if isinstance(t, Bound):
-        return scope[t.index]
+    if isinstance(t, Bound):  # an index no binder in t covers prints as #i
+        loose = t.index - len(scope)
+        return scope[t.index] if loose < 0 else f"#{loose}"
     if isinstance(t, Const):
         return t.name
     if isinstance(t, MetaVar):

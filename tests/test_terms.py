@@ -199,6 +199,14 @@ def test_print_parse_round_trip(text):
     assert alpha_equal(term, again)
 
 
+def test_body_of_an_abstraction_prints_its_loose_index():
+    body = lam(Var("x", E), App(LEAVE, Var("x", E))).body
+    assert format_term(body) == "leave(#0)"
+    x, y = Var("x", E), Var("y", E)
+    nested = lam(x, lam(y, app(Const("find", arrow(E, E, T)), x, y))).body
+    assert format_term(nested) == "\\z:e. find(#0, z)"
+
+
 def test_quantifier_sugar_is_application_underneath():
     term = parse_term("every(z, man(z), leave(z))", SIG)
     assert isinstance(term, App)
