@@ -267,10 +267,6 @@ def _unify(a: Term, b: Term, subst: _Subst, state: _State) -> Optional[_Subst]:
             if current is None:
                 return None
         return current
-    if isinstance(a, Var) and isinstance(b, Var):
-        return subst if a.name == b.name else None
-    if isinstance(a, Const) and isinstance(b, Const):
-        return subst if (a.name, a.ty) == (b.name, b.ty) else None
     return None
 
 

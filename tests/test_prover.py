@@ -18,14 +18,17 @@ from gluesem.prover import (
     Proof,
     SearchLimits,
     SearchStats,
+    _State,
+    _Subst,
+    _unify,
     derive_readings,
     format_proof,
     proof_json,
     prove,
     prove_theorem,
 )
-from gluesem.terms import format_term, normalize
-from gluesem.types import parse_type
+from gluesem.terms import Var, format_term, normalize
+from gluesem.types import E, T, parse_type
 
 SIG = {
     "Bill": parse_type("e"),
@@ -248,6 +251,11 @@ def test_abstractions_unify_under_a_shared_eigenvariable():
                    " -o f.sig ~> done", sig),
     ]
     assert _agreed_reading(premises) == "done"
+
+
+def test_variables_that_differ_only_in_type_do_not_unify():
+    state = _State(SearchLimits(), SearchStats())
+    assert _unify(Var("X", E), Var("X", T), _Subst(), state) is None
 
 
 # ---------------------------------------------------------------------------
