@@ -29,6 +29,7 @@ from .errors import (
     MissingAttribute,
     UnknownLabel,
 )
+from .types import IDENT_RE, Scanner
 
 FACETS = ("MAIN", "VAR", "RESTR")
 
@@ -138,58 +139,58 @@ def resolve_path(root: FStructure, path: Sequence[str],
 # bracketed text format
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ATTR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 
 
-class _FsParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Nodes:
+    """The labeled nodes of one structure being read, and its references."""
+
+    def __init__(self):
         self.defined: dict[str, FStructure] = {}
-        self.pending: list[tuple[FStructure, str, str, int]] = []
+        self.pending: list[tuple[FStructure, str, str]] = []
 
-    def error(self, msg: str) -> FStructureSyntaxError:
-        return FStructureSyntaxError(msg, self.pos)
+    def new(self, label: str) -> FStructure:
+        if label in self.defined:
+            raise DuplicateLabel(f"label {label} defined twice")
+        node = self.defined[label] = FStructure(label)
+        return node
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def reference(self, node: FStructure, attr: str, label: str) -> None:
+        """A re-entrant value, linked to its node once all are read."""
+        node.attrs[attr] = label
+        self.pending.append((node, attr, label))
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> FStructure:
-        root = self.parse_node()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"trailing input {self.text[self.pos:]!r}")
-        self.link_references()
+    def link(self, root: FStructure) -> FStructure:
+        for node, attr, label in self.pending:
+            target = self.defined.get(label)
+            if target is None:
+                raise UnknownLabel(
+                    f"attribute {attr} of {node.label} references undefined "
+                    f"label {label}"
+                )
+            node.attrs[attr] = target
         root.validate()
         return root
 
-    def parse_node(self) -> FStructure:
-        self.skip_ws()
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a node label")
-        label = m.group()
-        self.pos = m.end()
+
+class _FsParser(Scanner):
+    syntax_error = FStructureSyntaxError
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.nodes = _Nodes()
+
+    def node(self, label: str) -> FStructure:
+        """The bracketed node after its label."""
         if self.peek() != ":":
             raise self.error(f"expected ':' after label {label}")
         self.pos += 1
-        if self.peek() != "[":
-            raise self.error("expected '['")
-        self.pos += 1
-        if label in self.defined:
-            raise DuplicateLabel(f"label {label} defined twice")
-        node = FStructure(label)
-        self.defined[label] = node
+        self.expect("[")
+        node = self.nodes.new(label)
         if self.peek() == "]":
             self.pos += 1
             return node
         while True:
-            self.parse_pair(node)
+            self.pair(node)
             ch = self.peek()
             if ch == ",":
                 self.pos += 1
@@ -199,24 +200,17 @@ class _FsParser:
                 return node
             # attribute pairs may also be separated by whitespace alone,
             # matching how attribute-value matrices are usually laid out
-            if _ATTR_RE.match(self.text, self.pos):
+            if IDENT_RE.match(self.text, self.pos):
                 continue
             raise self.error("expected ',' or ']'")
 
-    def parse_pair(self, node: FStructure) -> None:
-        self.skip_ws()
-        m = _ATTR_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an attribute name")
-        attr = m.group()
-        attr_pos = self.pos
-        self.pos = m.end()
+    def pair(self, node: FStructure) -> None:
+        attr = self.ident(IDENT_RE, "an attribute name")
         if attr in node.attrs:
             raise DuplicateAttribute(
                 f"attribute {attr} repeated on node {node.label}"
             )
-        ch = self.peek()
-        if ch == "'":
+        if self.peek() == "'":
             self.pos += 1
             end = self.text.find("'", self.pos)
             if end < 0:
@@ -224,33 +218,20 @@ class _FsParser:
             node.attrs[attr] = self.text[self.pos:end]
             self.pos = end + 1
             return
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error(f"expected a value for attribute {attr}")
-        after = m.end()
-        while after < len(self.text) and self.text[after].isspace():
-            after += 1
-        if after < len(self.text) and self.text[after] == ":":
-            node.attrs[attr] = self.parse_node()
+        label = self.ident(_LABEL_RE, f"a value for attribute {attr}")
+        if self.peek() == ":":
+            self.deeper()
+            node.attrs[attr] = self.node(label)
+            self.depth -= 1
         else:
             # bare label: re-entrant reference, resolved after the full parse
-            node.attrs[attr] = m.group()
-            self.pending.append((node, attr, m.group(), attr_pos))
-            self.pos = m.end()
-
-    def link_references(self) -> None:
-        for node, attr, label, pos in self.pending:
-            target = self.defined.get(label)
-            if target is None:
-                raise UnknownLabel(
-                    f"attribute {attr} of {node.label} references undefined "
-                    f"label {label}"
-                )
-            node.attrs[attr] = target
+            self.nodes.reference(node, attr, label)
 
 
 def parse_fstructure(text: str) -> FStructure:
-    return _FsParser(text).parse()
+    parser = _FsParser(text)
+    root = parser.node(parser.ident(_LABEL_RE, "a node label"))
+    return parser.nodes.link(parser.finish(root))
 
 
 def format_fstructure(fs: FStructure) -> str:
@@ -293,42 +274,22 @@ def fstructure_to_json(fs: FStructure) -> dict:
 
 
 def fstructure_from_json(data: dict) -> FStructure:
-    defined: dict[str, FStructure] = {}
-    pending: list[tuple[FStructure, str, str]] = []
+    nodes = _Nodes()
 
     def build(obj: dict) -> FStructure:
         if not isinstance(obj, dict) or "label" not in obj:
             raise FStructureSyntaxError(f"expected a node object, got {obj!r}")
-        label = obj["label"]
-        if label in defined:
-            raise DuplicateLabel(f"label {label} defined twice")
-        node = FStructure(label)
-        defined[label] = node
+        node = nodes.new(obj["label"])
         for attr, value in obj.get("attrs", {}).items():
-            if attr in node.attrs:
-                raise DuplicateAttribute(
-                    f"attribute {attr} repeated on node {label}"
-                )
             if isinstance(value, str):
                 node.attrs[attr] = value
             elif isinstance(value, dict) and set(value) == {"ref"}:
-                node.attrs[attr] = value["ref"]
-                pending.append((node, attr, value["ref"]))
+                nodes.reference(node, attr, value["ref"])
             else:
                 node.attrs[attr] = build(value)
         return node
 
-    root = build(data)
-    for node, attr, label in pending:
-        target = defined.get(label)
-        if target is None:
-            raise UnknownLabel(
-                f"attribute {attr} of {node.label} references undefined "
-                f"label {label}"
-            )
-        node.attrs[attr] = target
-    root.validate()
-    return root
+    return nodes.link(build(data))
 
 
 def load_fstructure(path: str) -> FStructure:

@@ -20,7 +20,7 @@ attached to a concrete node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     AtomTypeMismatch,
@@ -32,7 +32,6 @@ from .fstructure import FACETS, SemProjectionRef
 from .terms import (
     Term,
     Var,
-    _IDENT_RE,
     canonical_key,
     format_term,
     infer_type,
@@ -41,13 +40,7 @@ from .terms import (
     subst_map,
     typecheck,
 )
-from .types import (
-    BaseType,
-    SimpleType,
-    _parse_type_at,
-    _skip_ws,
-    format_type,
-)
+from .types import IDENT_RE, BaseType, Scanner, SimpleType, format_type
 from .errors import UnboundVariable
 
 
@@ -411,23 +404,15 @@ def alpha_equal_formulas(a: Formula, b: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _GlueParser:
+class _GlueParser(Scanner):
+    syntax_error = GlueSyntaxError
+
     def __init__(self, text: str, signature: Mapping[str, SimpleType]):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.sig = signature
         self.meaning_env: dict[str, SimpleType] = {}
         self.proj_env: dict[str, SimpleType] = {}
-
-    def error(self, msg: str) -> GlueSyntaxError:
-        return GlueSyntaxError(msg, self.pos)
-
-    def skip_ws(self) -> None:
-        self.pos = _skip_ws(self.text, self.pos)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.unbound: Optional[str] = None  # first unbound projection variable
 
     def at_word(self, word: str) -> bool:
         self.skip_ws()
@@ -437,54 +422,30 @@ class _GlueParser:
         return end >= len(self.text) or not (self.text[end].isalnum()
                                              or self.text[end] == "_")
 
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def expect(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"trailing input {self.text[self.pos:]!r}")
-        return f
-
     def formula(self) -> Formula:
-        if self.at_word("forall"):
-            self.pos += len("forall")
-            binders = [self.binder()]
-            while self.peek() == ",":
-                self.pos += 1
-                binders.append(self.binder())
-            self.expect(".")
-            shadows = []
-            for b in binders:
-                if isinstance(b, MeaningBinder):
-                    shadows.append((b.name, self.meaning_env.get(b.name)))
-                    self.meaning_env[b.name] = b.ty
-                else:
-                    shadows.append((b.name, self.proj_env.get(b.name)))
-                    self.proj_env[b.name] = b.index
-            body = self.formula()
-            for b, (name, saved) in zip(reversed(binders), reversed(shadows)):
-                env = (self.meaning_env if isinstance(b, MeaningBinder)
-                       else self.proj_env)
-                if saved is None:
-                    del env[name]
-                else:
-                    env[name] = saved
-                body = Forall(b, body)
-            return body
-        return self.impl()
+        if not self.at_word("forall"):
+            return self.impl()
+        self.pos += len("forall")
+        binders = [self.binder()]
+        while self.peek() == ",":
+            self.pos += 1
+            binders.append(self.binder())
+        self.expect(".")
+        outer = self.meaning_env, self.proj_env
+        meanings, projs = dict(self.meaning_env), dict(self.proj_env)
+        for b in binders:
+            if isinstance(b, MeaningBinder):
+                meanings[b.name] = b.ty
+            else:
+                projs[b.name] = b.index
+        self.meaning_env, self.proj_env = meanings, projs
+        self.deeper()
+        body = self.formula()
+        self.depth -= 1
+        self.meaning_env, self.proj_env = outer
+        for b in reversed(binders):
+            body = Forall(b, body)
+        return body
 
     def binder(self) -> Binder:
         name = self.ident()
@@ -492,18 +453,19 @@ class _GlueParser:
         if self.at_word("proj"):
             self.pos += len("proj")
             self.expect("(")
-            index, self.pos = _parse_type_at(self.text, self.pos)
+            index = self.type()
             self.expect(")")
             return ProjBinder(name, index)
-        ty, self.pos = _parse_type_at(self.text, self.pos)
-        return MeaningBinder(name, ty)
+        return MeaningBinder(name, self.type())
 
     def impl(self) -> Formula:
         left = self.tensor()
         self.skip_ws()
         if self.text.startswith("-o", self.pos):
             self.pos += 2
-            return Impl(left, self.impl())
+            self.deeper()
+            left = Impl(left, self.impl())
+            self.depth -= 1
         return left
 
     def tensor(self) -> Formula:
@@ -514,31 +476,29 @@ class _GlueParser:
         return left
 
     def unit(self) -> Formula:
-        ch = self.peek()
-        if ch == "(":
-            # a parenthesized formula, unless this is the (^ PATH).sig form
-            after = _skip_ws(self.text, self.pos + 1)
-            if after < len(self.text) and self.text[after] == "^":
-                nxt = after + 1
-                if nxt >= len(self.text) or self.text[nxt] != ".":
-                    return self.atom()
+        # a parenthesized formula, unless this is the (^ PATH).sig form
+        if self.peek() == "(":
+            start = self.pos
             self.pos += 1
-            f = self.formula()
-            self.expect(")")
-            return f
+            if self.peek() != "^" or self.text.startswith(".", self.pos + 1):
+                self.deeper()
+                f = self.formula()
+                self.depth -= 1
+                self.expect(")")
+                return f
+            self.pos = start
         return self.atom()
 
     def atom(self) -> GlueAtom:
         proj = self.proj()
         self.expect("~>")
-        self.skip_ws()
-        meaning, self.pos = parse_term_prefix(
-            self.text, self.pos, self.sig, self.meaning_env
-        )
+        meaning = parse_term_prefix(self, self.sig, self.meaning_env)
         result_type = infer_type(meaning)
         if isinstance(proj, ProjVar):
             index = self.proj_env.get(proj.name)
-            if index is not None and index != result_type:
+            if index is None:
+                self.unbound = self.unbound or proj.name
+            elif index != result_type:
                 raise AtomTypeMismatch(
                     f"{proj.name} carries {format_type(index)} resources but "
                     f"{format_term(meaning)} has type "
@@ -550,55 +510,45 @@ class _GlueParser:
         ch = self.peek()
         if ch == "^":
             self.pos += 1
-            return self.proj_suffix(())
+            return PathRef((), self.facet())
         if ch == "(":
             self.pos += 1
-            self.skip_ws()
-            if self.peek() != "^":
-                raise self.error("expected '^' in a projection path")
-            self.pos += 1
+            self.expect("^")
             path = []
             while self.peek() != ")":
                 path.append(self.ident())
             self.pos += 1
-            return self.proj_suffix(tuple(path))
+            return PathRef(tuple(path), self.facet())
         name = self.ident()
         if self.text.startswith(".", self.pos):
-            self.pos += 1
-            if not self.text.startswith("sig", self.pos):
-                raise self.error("expected 'sig' after '.'")
-            self.pos += 3
-            facet = self.facet()
-            return SemProjectionRef(name, facet)
+            return SemProjectionRef(name, self.facet())
         return ProjVar(name)
 
-    def proj_suffix(self, path: tuple[str, ...]) -> PathRef:
+    def facet(self) -> str:
+        """Read .sig and an optional facet, .VAR or .RESTR."""
         self.expect(".")
         if not self.text.startswith("sig", self.pos):
             raise self.error("expected 'sig' after '.'")
         self.pos += 3
-        return PathRef(path, self.facet())
-
-    def facet(self) -> str:
         if not self.text.startswith(".", self.pos):
             return "MAIN"
-        m = _IDENT_RE.match(self.text, self.pos + 1)
+        m = IDENT_RE.match(self.text, self.pos + 1)
         if m and m.group() in FACETS:
             self.pos = m.end()
             return m.group()
         raise self.error("expected facet VAR or RESTR after '.'")
 
 
-def parse_glue(text: str, signature: Mapping[str, SimpleType],
-               check: bool = True) -> Formula:
-    """Parse a formula; by default also verify it is closed and well typed.
+def parse_glue(text: str, signature: Mapping[str, SimpleType]) -> Formula:
+    """Parse a formula and verify that it is closed and well typed.
 
     Templates (with ^ paths) skip the projection binding check but still get
     their meaning sides validated.
     """
-    f = _GlueParser(text, signature).parse()
-    if check:
-        check_wellformed(f, signature)
+    parser = _GlueParser(text, signature)
+    f = parser.finish(parser.formula())
+    if parser.unbound is not None:
+        raise OpenVariable(f"projection variable {parser.unbound} is not bound")
     return f
 
 

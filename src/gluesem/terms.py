@@ -24,7 +24,6 @@ printer translate to and from the named syntax above.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -35,14 +34,14 @@ from .errors import (
     UnboundVariable,
 )
 from .types import (
+    MAX_NESTING,
     QUANTIFIER_TYPE,
     ArrowType,
     E,
     S,
+    Scanner,
     SimpleType,
     format_type,
-    _parse_type_at,
-    _skip_ws,
 )
 
 
@@ -385,82 +384,54 @@ def alpha_equal(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 # parsing
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
-
-
-class _TermParser:
+class _TermParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType],
                  var_types: Mapping[str, SimpleType]):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.sig = signature
         self.frees = var_types
         self.binders: tuple[tuple[str, SimpleType], ...] = ()  # nearest first
 
-    def error(self, msg: str) -> TermSyntaxError:
-        return TermSyntaxError(msg, self.pos)
-
-    def skip_ws(self) -> None:
-        self.pos = _skip_ws(self.text, self.pos)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group()
-
-    def parse(self) -> Term:
-        t = self.term()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"trailing input {self.text[self.pos:]!r}")
-        return t
-
     def term(self) -> Term:
-        if self.peek() == "\\":
-            self.pos += 1
-            name = self.ident()
-            self.expect(":")
-            ty, self.pos = _parse_type_at(self.text, self.pos)
-            self.expect(".")
-            outer = self.binders
-            self.binders = ((name, ty),) + outer
-            body = self.term()
-            self.binders = outer
-            return Lam(ty, body)
-        return self.postfix()
+        if self.peek() != "\\":
+            return self.postfix()
+        self.pos += 1
+        name = self.ident()
+        self.expect(":")
+        ty = self.type()
+        self.expect(".")
+        outer = self.binders
+        self.binders = ((name, ty),) + outer
+        self.deeper()
+        body = self.term()
+        self.depth -= 1
+        self.binders = outer
+        return Lam(ty, body)
 
     def postfix(self) -> Term:
         t = self.prefixed()
         while self.peek() == "(":
             self.pos += 1
+            self.deeper()
             t = self.call(t)
+            self.depth -= 1
         return t
 
     def prefixed(self) -> Term:
         ch = self.peek()
-        if ch == "^":
-            self.pos += 1
-            return Up(self.prefixed())
-        if ch == "!":
-            self.pos += 1
-            return Down(self.prefixed())
         if ch == "(":
             self.pos += 1
+            self.deeper()
             t = self.term()
+            self.depth -= 1
             self.expect(")")
             return t
+        if ch == "^" or ch == "!":
+            self.pos += 1
+            self.deeper()
+            t = self.prefixed()
+            self.depth -= 1
+            return Up(t) if ch == "^" else Down(t)
         name = self.ident()
         for index, (bound, ty) in enumerate(self.binders):
             if bound == name:
@@ -487,29 +458,21 @@ class _TermParser:
         """Parse Q(x, R, S) as Q(\\x:e. R, \\x:e. S) for determiner constants."""
         if not (isinstance(head, Const) and head.ty == QUANTIFIER_TYPE):
             return None
-        saved = self.pos
-        m = _IDENT_RE.match(self.text, _skip_ws(self.text, self.pos))
-        if not m:
-            return None
-        name = m.group()
-        after = _skip_ws(self.text, m.end())
-        if after >= len(self.text) or self.text[after] != ",":
-            return None
-        self.pos = after + 1
+        saved = self.pos, self.depth
         outer = self.binders
-        self.binders = ((name, E),) + outer
         try:
+            name = self.ident()
+            self.expect(",")
+            self.binders = ((name, E),) + outer
             restriction = self.term()
-            if self.peek() != ",":
-                raise self.error("expected ',' in quantifier arguments")
-            self.pos += 1
+            self.expect(",")
             scope = self.term()
-            if self.peek() != ")":
-                raise self.error("expected ')' after quantifier arguments")
-            self.pos += 1
+            self.expect(")")
         except TermSyntaxError:
+            if self.depth > MAX_NESTING:
+                raise
             # not the sugared form after all; reparse as a plain call
-            self.pos = saved
+            self.pos, self.depth = saved
             return None
         finally:
             self.binders = outer
@@ -518,20 +481,23 @@ class _TermParser:
 
 def parse_term(text: str, signature: Mapping[str, SimpleType],
                var_types: Optional[Mapping[str, SimpleType]] = None) -> Term:
-    return _TermParser(text, signature, var_types or {}).parse()
+    parser = _TermParser(text, signature, var_types or {})
+    return parser.finish(parser.term())
 
 
-def parse_term_prefix(text: str, pos: int, signature: Mapping[str, SimpleType],
-                      var_types: Mapping[str, SimpleType]) -> tuple[Term, int]:
-    """Parse one term starting at pos; return it with the end position.
+def parse_term_prefix(outer: Scanner, signature: Mapping[str, SimpleType],
+                      var_types: Mapping[str, SimpleType]) -> Term:
+    """Parse one term at outer's position and move outer past it.
 
     Lets other parsers embed term syntax: the term extends as far as the
     grammar allows and stops at the first character that cannot continue it.
+    It nests from outer's depth on.
     """
-    parser = _TermParser(text, signature, var_types)
-    parser.pos = pos
+    parser = _TermParser(outer.text, signature, var_types)
+    parser.pos, parser.depth = outer.pos, outer.depth
     term = parser.term()
-    return term, parser.pos
+    outer.pos = parser.pos
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from conftest import SCENARIO_NAMES
 
 from gluesem.cli import main
+from gluesem.types import MAX_NESTING
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -63,6 +64,28 @@ def test_run_exits_one_on_missing_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("deep_file", ["scenario", "lexicon"])
+def test_run_reports_input_nested_3000_deep(tmp_path, corpus_dir, capsys,
+                                            deep_file):
+    lexicon = (corpus_dir / "lexicon.glue").read_text(encoding="utf-8")
+    fs = "f:[PRED 'leave', SUBJ g:[PRED 'Bill']]"
+    if deep_file == "lexicon":
+        lexicon += ("\nentry deep\nPRED = deep\nglue "
+                    + "(" * 3000 + "^.sig ~> Bill" + ")" * 3000 + "\n")
+    else:
+        deep = "".join(f"d{i}:[A " for i in range(3000)) + "d:[]" + "]" * 3000
+        fs = f"f:[PRED 'leave', SUBJ g:[PRED 'Bill'], DEEP {deep}]"
+    (tmp_path / "lexicon.glue").write_text(lexicon, encoding="utf-8")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        f"scenario deep\nlexicon lexicon.glue\nfstructure {fs}\n"
+        "attach Bill -> g\nattach left -> f\ngoal f\n", encoding="utf-8")
+    code = main(["run", str(scenario)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: nesting deeper than {MAX_NESTING} levels")
 
 
 def test_run_count_only(corpus_dir, capsys):

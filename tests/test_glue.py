@@ -121,7 +121,7 @@ def test_curry_on_intensional_verb_keeps_two_antecedents():
 
 
 def test_curry_rejects_tensor_conclusion():
-    f = parse_glue("g.sig ~> Bill * h.sig ~> Bill", SIG, check=False)
+    f = parse_glue("g.sig ~> Bill * h.sig ~> Bill", SIG)
     with pytest.raises(TensorInConclusion):
         curry(Impl(parse("g.sig ~> Bill"), f))
 

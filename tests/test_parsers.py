@@ -1,4 +1,5 @@
-"""The four text parsers: exact syntax errors, with their offsets."""
+"""The four text parsers: exact syntax errors, with their offsets, and the
+nesting limit."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from gluesem.errors import (
 from gluesem.fstructure import parse_fstructure
 from gluesem.glue import parse_glue
 from gluesem.terms import parse_term
-from gluesem.types import parse_type
+from gluesem.types import MAX_NESTING, parse_type
 
 SIG = {
     "Bill": parse_type("e"),
@@ -97,3 +98,25 @@ def test_malformed_input_raises_the_exact_error(grammar, text, error, message):
         PARSERS[grammar](text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# each makes input that nests exactly n levels
+DEEP = [
+    ("term", lambda n: "(" * n + "Bill" + ")" * n),
+    # a lambda body, then quantifier sugar, which backtracks on syntax errors
+    ("term", lambda n: "\\z:e. " + "every(z, man(z), " * (n - 2) + "man(z)"
+     + ")" * (n - 2)),
+    ("type", lambda n: "e -> " * n + "t"),
+    ("glue", lambda n: "(" * n + "g.sig ~> Bill" + ")" * n),
+    ("fs", lambda n: "".join(f"f{i}:[A " for i in range(n)) + "g:[]" + "]" * n),
+]
+
+
+@pytest.mark.parametrize("grammar,make", DEEP)
+def test_nesting_past_the_limit_is_a_syntax_error(grammar, make):
+    PARSERS[grammar](make(MAX_NESTING))
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(GlueError) as info:
+            PARSERS[grammar](make(depth))
+        assert str(info.value).startswith(
+            f"nesting deeper than {MAX_NESTING} levels (at offset ")
