@@ -104,7 +104,7 @@ class Scanner:
         while pos < end and text[pos].isspace():
             pos += 1
         self.pos = pos
-        return text[pos:pos + 1]
+        return text[pos] if pos < end else ""
 
     skip_ws = peek  # for callers that want only the skip
 
