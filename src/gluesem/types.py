@@ -74,7 +74,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z][A-Za-z0-9_]*)*")
 
 # Parentheses, argument lists, binder bodies, ^ and ! prefixes, the right
 # side of -> and -o, and nested f-structures each open one level. The corpus
-# nests at most 10; the limit keeps deep input a syntax error well inside
+# nests at most 8; the limit keeps deep input a syntax error well inside
 # Python's recursion limit.
 MAX_NESTING = 100
 
