@@ -9,7 +9,7 @@ from gluesem.errors import (
     NonPatternUnification,
     NotProvable,
 )
-from gluesem.glue import Tensor, atoms, format_glue, parse_glue
+from gluesem.glue import MeaningBinder, Tensor, atoms, format_glue, parse_glue
 from gluesem.lexicon import parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
 from gluesem.oracle import oracle_enumerate
@@ -20,14 +20,25 @@ from gluesem.prover import (
     SearchStats,
     _State,
     _Subst,
+    _goal_eigen,
     _unify,
+    _unify_meaning,
     derive_readings,
     format_proof,
     proof_json,
     prove,
     prove_theorem,
+    zonk_term,
 )
-from gluesem.terms import Var, format_term, normalize
+from gluesem.terms import (
+    App,
+    Const,
+    MetaVar,
+    Var,
+    format_term,
+    free_meta_vars,
+    normalize,
+)
 from gluesem.types import E, T, parse_type
 
 SIG = {
@@ -251,6 +262,33 @@ def test_abstractions_unify_under_a_shared_eigenvariable():
                    " -o f.sig ~> done", sig),
     ]
     assert _agreed_reading(premises) == "done"
+
+
+def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
+    # ?M(x) = and(?N, ?N) with ?N newer than ?M: inversion raises ?N over x
+    # once, and its second occurrence reuses the lifted hole
+    m = MetaVar("M", 101, parse_type("e -> t"), 101)
+    x = _goal_eigen(MeaningBinder("x", E), 102)
+    n = MetaVar("N", 103, T, 103)
+    lhs = App(m, x)
+    rhs = App(App(Const("and", parse_type("t -> t -> t")), n), n)
+    bound = []
+    bind = _Subst.bind_meaning
+
+    def counting_bind(self, uid, value):
+        bound.append(uid)
+        return bind(self, uid, value)
+
+    monkeypatch.setattr(_Subst, "bind_meaning", counting_bind)
+    out = _unify_meaning(lhs, rhs, _Subst(),
+                         _State(SearchLimits(), SearchStats()))
+    assert out is not None
+    assert sorted(bound) == [m.uid, n.uid]
+    solution = out.meanings[m.uid]
+    [lifted] = free_meta_vars(solution)
+    assert lifted.level == m.level
+    assert out.meanings[n.uid] == App(lifted, x)
+    assert normalize(zonk_term(lhs, out)) == normalize(zonk_term(rhs, out))
 
 
 def test_variables_that_differ_only_in_type_do_not_unify():
