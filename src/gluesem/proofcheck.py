@@ -33,7 +33,7 @@ from .glue import (
 )
 from .lexicon import Premise
 from .prover import Proof, Sequent, prepare_premises
-from .terms import MetaVar, Var, alpha_equal, free_vars, normalize
+from .terms import Eigen, MetaVar, _collect, alpha_equal, normalize
 from .types import T
 
 
@@ -46,15 +46,9 @@ def _multiset(fs: Sequence[Formula]) -> Counter:
     return Counter(_key(f) for f in fs)
 
 
-def _eigen_occurs(eigen: Union[Var, ProjEigen], f: Formula) -> bool:
-    for atom in atoms(f):
-        if isinstance(eigen, Var):
-            if any(v.name == eigen.name for v in free_vars(atom.meaning)):
-                return True
-        else:
-            if isinstance(atom.proj, ProjEigen) and atom.proj.uid == eigen.uid:
-                return True
-    return False
+def _eigen_occurs(eigen: Union[Eigen, ProjEigen], f: Formula) -> bool:
+    return any(atom.proj == eigen or eigen in _collect(atom.meaning, Eigen)
+               for atom in atoms(f))
 
 
 def check_proof(proof: Proof,

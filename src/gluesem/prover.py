@@ -14,7 +14,8 @@ scope discipline that keeps readings closed.
 
 Meaning unification is higher order over the pattern fragment: a
 metavariable applied to distinct newer eigenvariables (or their intensions)
-is inverted directly; metavariables nested inside a solution are raised over
+is inverted directly, each argument becoming a de Bruijn index of the
+solution's binders; metavariables nested inside a solution are raised over
 the same arguments when their level is too new. Problems outside the
 fragment are reported rather than searched.
 """
@@ -54,6 +55,7 @@ from .terms import (
     Bound,
     Const,
     Down,
+    Eigen,
     Lam,
     MetaVar,
     Term,
@@ -64,7 +66,6 @@ from .terms import (
     format_term,
     free_meta_vars,
     infer_type,
-    lam,
     map_metas,
     normalize,
     open_lam,
@@ -116,7 +117,7 @@ class Proof:
     rule: str
     sequent: Sequent
     children: tuple["Proof", ...] = ()
-    eigen: Optional[Union[Var, ProjEigen]] = None
+    eigen: Optional[Union[Eigen, ProjEigen]] = None
     instantiation: Optional[Union[Term, Proj]] = None
 
     def conclusion(self) -> Formula:
@@ -169,14 +170,6 @@ class _Subst:
         projs = dict(self.projs)
         projs[uid] = value
         return _Subst(self.meanings, projs)
-
-
-def _is_eigen(v: Var) -> bool:
-    return "#" in v.name
-
-
-def _eigen_level(v: Var) -> int:
-    return int(v.name.rsplit("#", 1)[1])
 
 
 def zonk_term(t: Term, subst: _Subst) -> Term:
@@ -249,7 +242,7 @@ def _unify(a: Term, b: Term, subst: _Subst, state: _State) -> Optional[_Subst]:
     # rigid versus rigid
     if isinstance(a, Lam) or isinstance(b, Lam):
         ty = a.ty if isinstance(a, Lam) else b.ty
-        eigen = Var(f"x#{state.fresh()}", ty)
+        eigen = Eigen("x", state.fresh(), ty)
         return _unify(normalize(_apply_one(a, eigen)),
                       normalize(_apply_one(b, eigen)), subst, state)
     if isinstance(a, Up) and isinstance(b, Up):
@@ -275,7 +268,8 @@ def _unify_heads(ha: Term, hb: Term, subst: _Subst,
     if type(ha) is type(hb) and isinstance(ha, (Up, Down)):
         # intension or extension wrappers as application heads
         return _unify(ha, hb, subst, state)
-    if isinstance(ha, (Var, Const)) and isinstance(hb, (Var, Const)):
+    if isinstance(ha, (Var, Eigen, Const)) \
+            and isinstance(hb, (Var, Eigen, Const)):
         return subst if ha == hb else None
     if free_meta_vars(ha) or free_meta_vars(hb):
         return _record_nonpattern(
@@ -295,182 +289,156 @@ def _record_nonpattern(state: _State, why: str) -> None:
 
 
 def _pattern_args(m: MetaVar, args: list[Term],
-                  state: _State) -> Optional[list[tuple[Var, bool]]]:
-    """Check the pattern condition; each arg is (eigen, is_intension)."""
-    seen: set[str] = set()
-    out: list[tuple[Var, bool]] = []
-    for a in args:
-        intension = False
-        if isinstance(a, Up):
+                  state: _State) -> Optional[dict[int, tuple[int, bool]]]:
+    """Check the pattern condition.
+
+    Maps the uid of each argument's eigenvariable to its position and to
+    whether it is passed as an intension.
+    """
+    out: dict[int, tuple[int, bool]] = {}
+    for i, a in enumerate(args):
+        intension = isinstance(a, Up)
+        if intension:
             a = a.body
-            intension = True
-        if not (isinstance(a, Var) and _is_eigen(a)):
+        if not isinstance(a, Eigen):
             return _record_nonpattern(
                 state, "metavariable applied to a non-variable argument"
             )
-        if _eigen_level(a) <= m.level:
+        if a.uid <= m.level:
             return _record_nonpattern(
                 state, "metavariable applied to an older eigenvariable"
             )
-        if a.name in seen:
+        if a.uid in out:
             return _record_nonpattern(
                 state, "metavariable applied to a repeated eigenvariable"
             )
-        seen.add(a.name)
-        out.append((a, intension))
+        out[a.uid] = (i, intension)
     return out
 
 
-def _binder_types(m: MetaVar, n: int) -> Optional[list[SimpleType]]:
-    tys = []
-    ty = m.ty
+def _binder_types(ty: SimpleType, n: int) \
+        -> Optional[tuple[list[SimpleType], SimpleType]]:
+    """The first n argument types of ty and the type that remains."""
+    doms = []
     for _ in range(n):
         if not isinstance(ty, ArrowType):
             return None
-        tys.append(ty.dom)
+        doms.append(ty.dom)
         ty = ty.cod
-    return tys
+    return doms, ty
+
+
+def _arrows(doms: Sequence[SimpleType], ty: SimpleType) -> SimpleType:
+    for dom in reversed(doms):
+        ty = ArrowType(dom, ty)
+    return ty
+
+
+def _lams(doms: Sequence[SimpleType], body: Term) -> Term:
+    """body under one binder per domain, normalized; the last is nearest."""
+    for dom in reversed(doms):
+        body = Lam(dom, body)
+    return normalize(body)
 
 
 def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
                 state: _State) -> Optional[_Subst]:
-    args = _pattern_args(m, raw_args, state)
-    if args is None:
-        return None
-    doms = _binder_types(m, len(raw_args))
-    if doms is None:
-        return None
-    binders = [Var(f"x#{state.fresh()}", dom) for dom in doms]
-    bare_map: dict[str, Term] = {}   # occurrences of the eigenvariable itself
-    up_map: dict[str, Term] = {}     # occurrences under an intension
-    for (eigen, intension), binder in zip(args, binders):
-        if intension:
-            bare_map[eigen.name] = Down(binder)
-            up_map[eigen.name] = binder
-        else:
-            bare_map[eigen.name] = binder
+    """Solve m(raw_args) = rhs by inverting rhs over the pattern arguments.
 
-    current = subst
+    Pattern argument i of n, seen under d binders of rhs, becomes the index
+    d + n - 1 - i of the solution's own binders.
+    """
+    positions = _pattern_args(m, raw_args, state)
+    if positions is None:
+        return None
+    split = _binder_types(m.ty, len(raw_args))
+    if split is None:
+        return None
+    doms = split[0]
+    n = len(doms)
+    raised: dict[int, MetaVar] = {}  # nested hole uid -> its lifted hole
 
-    def invert(t: Term) -> Optional[Term]:
-        nonlocal current
-        t = normalize(zonk_term(t, current))
-        head, targs = spine(t)
-        if isinstance(head, MetaVar):
-            if head.uid == m.uid:
+    def index(i: int, depth: int) -> Bound:
+        return Bound(depth + n - 1 - i, doms[i])
+
+    def invert(t: Term, depth: int) -> Optional[Term]:
+        if isinstance(t, MetaVar):
+            if t.uid == m.uid:
                 return None  # occurs check
-            if head.level > m.level:
-                # raise the nested hole over this problem's arguments so its
-                # eventual solution can still reach them
-                lifted_ty = head.ty
-                for dom in reversed(doms):
-                    lifted_ty = ArrowType(dom, lifted_ty)
-                lifted = MetaVar(head.name, state.fresh(), lifted_ty, m.level)
-                current = current.bind_meaning(
-                    head.uid, app(lifted, *raw_args)
-                )
-                head = lifted
-                targs = list(raw_args) + targs
-            out: Term = head
-            for ta in targs:
-                inv = invert(ta)
-                if inv is None:
-                    return None
-                out = App(out, inv)
-            return out
-        if isinstance(t, Var):
-            if t.name in bare_map:
-                return bare_map[t.name]
-            if _is_eigen(t):
-                return t if _eigen_level(t) < m.level else None
-            return t
-        if isinstance(t, (Const, Bound)):
-            return t
-        if isinstance(t, Up):
-            if isinstance(t.body, Var) and t.body.name in up_map:
-                return up_map[t.body.name]
-            body = invert(t.body)
-            return None if body is None else Up(body)
-        if isinstance(t, Down):
-            body = invert(t.body)
-            return None if body is None else Down(body)
-        if isinstance(t, Lam):
-            body = invert(t.body)
-            return None if body is None else Lam(t.ty, body)
+            if t.level <= m.level:
+                return t
+            # raise the nested hole over this problem's arguments so its
+            # eventual solution can still reach them; a second occurrence
+            # reuses the lifted hole
+            if t.uid not in raised:
+                raised[t.uid] = MetaVar(t.name, state.fresh(),
+                                        _arrows(doms, t.ty), m.level)
+            return app(raised[t.uid], *[index(i, depth) for i in range(n)])
+        if isinstance(t, Eigen):
+            if t.uid not in positions:
+                return t if t.uid < m.level else None
+            i, intension = positions[t.uid]
+            return Down(index(i, depth)) if intension else index(i, depth)
+        if isinstance(t, Up) and isinstance(t.body, Eigen):
+            i, intension = positions.get(t.body.uid, (0, False))
+            if intension:
+                return index(i, depth)
         if isinstance(t, App):
-            fn = invert(t.fn)
-            arg = invert(t.arg)
-            if fn is None or arg is None:
-                return None
-            return App(fn, arg)
-        raise TypeError(f"not a term: {t!r}")
+            fn = invert(t.fn, depth)
+            arg = invert(t.arg, depth)
+            return None if fn is None or arg is None else App(fn, arg)
+        if isinstance(t, Lam):
+            body = invert(t.body, depth + 1)
+            return None if body is None else Lam(t.ty, body)
+        if isinstance(t, (Up, Down)):
+            body = invert(t.body, depth)
+            return None if body is None else type(t)(body)
+        return t  # Var, Const or Bound
 
-    solution = invert(rhs)
-    if solution is None:
+    body = invert(normalize(zonk_term(rhs, subst)), 0)
+    if body is None:
         return None
-    for binder in reversed(binders):
-        solution = lam(binder, solution)
-    solution = normalize(solution)
+    solution = _lams(doms, body)
     if infer_type(solution) != m.ty:
         return None
-    return current.bind_meaning(m.uid, solution)
+    for uid, lifted in raised.items():
+        subst = subst.bind_meaning(uid, app(lifted, *raw_args))
+    return subst.bind_meaning(m.uid, solution)
 
 
 def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
                      bas: list[Term], subst: _Subst,
                      state: _State) -> Optional[_Subst]:
-    pa = _pattern_args(ma, aas, state)
-    if pa is None:
+    """Bind both holes to one fresh hole over the arguments they share.
+
+    For one hole the shared positions are those where both argument lists
+    agree; for two holes, the positions of the eigenvariables both receive.
+    """
+    if _pattern_args(ma, aas, state) is None \
+            or _pattern_args(mb, bas, state) is None:
         return None
-    pb = _pattern_args(mb, bas, state)
-    if pb is None:
+    a_split = _binder_types(ma.ty, len(aas))
+    b_split = _binder_types(mb.ty, len(bas))
+    if a_split is None or b_split is None:
         return None
-    a_doms = _binder_types(ma, len(aas))
-    b_doms = _binder_types(mb, len(bas))
-    if a_doms is None or b_doms is None:
-        return None
+    (a_doms, res_ty), (b_doms, _) = a_split, b_split
     if ma.uid == mb.uid:
         if len(aas) != len(bas):
             return None
-        keep = [i for i, (x, y) in enumerate(zip(aas, bas)) if x == y]
-        if len(keep) == len(aas):
+        shared = [(i, i) for i, (x, y) in enumerate(zip(aas, bas)) if x == y]
+        if len(shared) == len(aas):
             return subst
-        binders = [Var(f"x#{state.fresh()}", dom) for dom in a_doms]
-        res_ty = _result_type(ma.ty, len(aas))
-        fresh_ty = res_ty
-        for i in reversed(keep):
-            fresh_ty = ArrowType(a_doms[i], fresh_ty)
-        fresh = MetaVar(ma.name, state.fresh(), fresh_ty, ma.level)
-        solution = app(fresh, *[binders[i] for i in keep])
-        for binder in reversed(binders):
-            solution = lam(binder, solution)
-        return subst.bind_meaning(ma.uid, normalize(solution))
-    # different heads: restrict both to their shared arguments
-    b_index = {bas[i]: i for i in range(len(bas))}
-    shared = [(i, b_index[aas[i]]) for i in range(len(aas))
-              if aas[i] in b_index]
-    level = min(ma.level, mb.level)
-    res_ty = _result_type(ma.ty, len(aas))
-    fresh_ty = res_ty
-    for i, _ in reversed(shared):
-        fresh_ty = ArrowType(a_doms[i], fresh_ty)
-    fresh = MetaVar(ma.name, state.fresh(), fresh_ty, level)
-    a_binders = [Var(f"x#{state.fresh()}", dom) for dom in a_doms]
-    b_binders = [Var(f"x#{state.fresh()}", dom) for dom in b_doms]
-    a_sol = app(fresh, *[a_binders[i] for i, _ in shared])
-    b_sol = app(fresh, *[b_binders[j] for _, j in shared])
-    for binder in reversed(a_binders):
-        a_sol = lam(binder, a_sol)
-    for binder in reversed(b_binders):
-        b_sol = lam(binder, b_sol)
-    out = subst.bind_meaning(ma.uid, normalize(a_sol))
-    return out.bind_meaning(mb.uid, normalize(b_sol))
-
-
-def _result_type(ty: SimpleType, n: int) -> SimpleType:
-    for _ in range(n):
-        ty = ty.cod
-    return ty
+    else:
+        b_index = {y: j for j, y in enumerate(bas)}
+        shared = [(i, b_index[x]) for i, x in enumerate(aas) if x in b_index]
+    na, nb = len(aas), len(bas)
+    fresh_ty = _arrows([a_doms[i] for i, _ in shared], res_ty)
+    fresh = MetaVar(ma.name, state.fresh(), fresh_ty,
+                    min(ma.level, mb.level))
+    out = subst.bind_meaning(ma.uid, _lams(a_doms, app(
+        fresh, *[Bound(na - 1 - i, a_doms[i]) for i, _ in shared])))
+    return out.bind_meaning(mb.uid, _lams(b_doms, app(
+        fresh, *[Bound(nb - 1 - j, b_doms[j]) for _, j in shared])))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +491,7 @@ _Ctx = tuple[tuple[int, Formula], ...]
 class _SNode:
     kind: str
     consumed: frozenset[int]
-    eigen: Optional[Union[Var, ProjEigen]] = None
+    eigen: Optional[Union[Eigen, ProjEigen]] = None
     hyp_id: Optional[int] = None
     entry_id: Optional[int] = None
     insts: tuple = ()
@@ -542,10 +510,10 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
     return ProjMeta(binder.name, uid, uid, binder.index)
 
 
-def _goal_eigen(binder, uid: int) -> Union[Var, ProjEigen]:
+def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
     """A fresh eigenvariable for proving a goal-side quantifier."""
     if isinstance(binder, MeaningBinder):
-        return Var(f"{binder.name}#{uid}", binder.ty)
+        return Eigen(binder.name, uid, binder.ty)
     return ProjEigen(binder.name, uid, binder.index)
 
 

@@ -16,10 +16,10 @@ Written syntax:
 
 Terms are locally nameless. A lambda binder has no name: its body refers to
 it by a Bound leaf whose index counts the binders crossed to reach it, 0 for
-the nearest. Var is always free (a formula variable or an eigenvariable), so
-alpha-equality is structural equality. lam(var, body) abstracts a free
-variable and open_lam(f, value) takes one beta step; the parser and the
-printer translate to and from the named syntax above.
+the nearest. Var is a free formula variable and Eigen an eigenvariable of
+the prover, so alpha-equality is structural equality. lam(var, body)
+abstracts a free variable and open_lam(f, value) takes one beta step; the
+parser and the printer translate to and from the named syntax above.
 """
 
 from __future__ import annotations
@@ -67,6 +67,22 @@ class Var(Term):
 
     def __repr__(self):
         return self.name
+
+
+@dataclass(frozen=True)
+class Eigen(Term):
+    """An eigenvariable: a fresh constant the prover introduces.
+
+    uid comes from the prover's counter and orders the eigenvariable against
+    metavariable levels.
+    """
+
+    name: str
+    uid: int
+    ty: SimpleType
+
+    def __repr__(self):
+        return format_term(self)
 
 
 @dataclass(frozen=True)
@@ -159,8 +175,8 @@ def free_meta_vars(t: Term) -> set[MetaVar]:
     return _collect(t, MetaVar)
 
 
-def _collect(t: Term, cls: type) -> set:
-    """Every subterm that is an instance of cls."""
+def _collect(t: Term, cls: type | tuple[type, ...]) -> set:
+    """Every subterm that is an instance of cls (a class or a tuple)."""
     out: set = set()
     stack = [t]
     while stack:
@@ -241,7 +257,7 @@ def infer_type(t: Term) -> SimpleType:
 
 def _tc(t: Term, env: Optional[Mapping[str, SimpleType]],
         binders: tuple[SimpleType, ...] = ()) -> SimpleType:
-    if isinstance(t, (Const, MetaVar)):
+    if isinstance(t, (Const, MetaVar, Eigen)):
         return t.ty
     if isinstance(t, Bound):
         if env is not None and binders[t.index:t.index + 1] != (t.ty,):
@@ -314,7 +330,7 @@ def normalize(t: Term) -> Term:
 
     Subterms already in normal form come back as the same objects.
     """
-    if isinstance(t, (Const, Var, Bound, MetaVar)):
+    if isinstance(t, (Const, Var, Eigen, Bound, MetaVar)):
         return t
     if isinstance(t, Lam):
         body = normalize(t.body)
@@ -362,6 +378,8 @@ def canonical_key(t: Term) -> str:
         return f"b{t.index + 1}"
     if isinstance(t, Var):
         return f"v:{t.name}:{format_type(t.ty)}"
+    if isinstance(t, Eigen):
+        return f"v:{t.name}#{t.uid}:{format_type(t.ty)}"
     if isinstance(t, Const):
         return f"c:{t.name}:{format_type(t.ty)}"
     if isinstance(t, MetaVar):
@@ -510,7 +528,7 @@ _FUNC_POOL = ["P", "Q", "R", "S"]
 class _Namer:
     """Display names: fixed for free variables, fresh for binders in order."""
 
-    def __init__(self, names: dict[str, str], taken: set[str]):
+    def __init__(self, names: dict[Term, str], taken: set[str]):
         self.names = names
         self.taken = taken
         self.entity_count = 0
@@ -539,17 +557,14 @@ def format_term(t: Term) -> str:
     Quantifier sugar binders are entity typed by construction and never
     annotated.
     """
-    frees = _collect(t, Var)
-    names: dict[str, str] = {}
-    by_base: dict[str, list[Var]] = {}
-    for v in frees:
-        by_base.setdefault(v.name.split("#")[0], []).append(v)
-    for base, group in by_base.items():
-        if len(group) == 1:
-            names[group[0].name] = base
-        else:
-            for v in group:
-                names[v.name] = v.name
+    by_name: dict[str, list[Term]] = {}
+    for v in _collect(t, (Var, Eigen)):
+        by_name.setdefault(v.name, []).append(v)
+    names: dict[Term, str] = {}  # a shared name is told apart by the uid
+    for name, group in by_name.items():
+        for v in group:
+            shared = len(group) > 1 and isinstance(v, Eigen)
+            names[v] = f"{name}#{v.uid}" if shared else name
     taken = set(names.values()) | {c.name for c in _collect(t, Const)}
     return _render(t, _Namer(names, taken), (), top=True)
 
@@ -557,8 +572,8 @@ def format_term(t: Term) -> str:
 def _render(t: Term, namer: _Namer, scope: tuple[str, ...],
             top: bool = False) -> str:
     """scope holds the display names of the enclosing binders, nearest first."""
-    if isinstance(t, Var):
-        return namer.names[t.name]
+    if isinstance(t, (Var, Eigen)):
+        return namer.names[t]
     if isinstance(t, Bound):  # an index no binder in t covers prints as #i
         loose = t.index - len(scope)
         return scope[t.index] if loose < 0 else f"#{loose}"
@@ -600,7 +615,7 @@ def _render(t: Term, namer: _Namer, scope: tuple[str, ...],
 
 def _render_operand(t: Term, namer: _Namer, scope: tuple[str, ...]) -> str:
     """Render the operand of ^, ! or a call head; wrap non-atoms in parens."""
-    if isinstance(t, (Var, Bound, Const, MetaVar, Up, Down)):
+    if isinstance(t, (Var, Eigen, Bound, Const, MetaVar, Up, Down)):
         return _render(t, namer, scope)
     return f"({_render(t, namer, scope, top=True)})"
 

@@ -8,7 +8,7 @@ from gluesem.errors import InvalidStep
 from gluesem.glue import GlueAtom, parse_glue
 from gluesem.proofcheck import check_proof
 from gluesem.prover import Proof, Sequent, derive_readings, prove_theorem
-from gluesem.terms import Const, Var
+from gluesem.terms import Const, Eigen
 from gluesem.types import E, parse_type
 
 SIG = {
@@ -136,7 +136,7 @@ def test_eigenvariable_escape_is_caught():
     identity = parse_glue("forall I:proj(e), Z:e. I ~> Z -o I ~> Z", SIG)
     proof = prove_theorem(identity)
     inner = next(p for p in nodes(proof)
-                 if p.rule == "forall_right" and isinstance(p.eigen, Var))
+                 if p.rule == "forall_right" and isinstance(p.eigen, Eigen))
     # smuggle the about-to-be-introduced eigenvariable into the context
     leak = GlueAtom(BILL.proj, inner.eigen, E)
     forged = dataclasses.replace(
