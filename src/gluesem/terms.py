@@ -409,6 +409,7 @@ class _TermParser(Scanner):
         self.sig = signature
         self.frees = var_types
         self.binders: tuple[tuple[str, SimpleType], ...] = ()  # nearest first
+        self.failed_sugar: set = set()
 
     def term(self) -> Term:
         if self.peek() != "\\":
@@ -476,6 +477,13 @@ class _TermParser(Scanner):
         """Parse Q(x, R, S) as Q(\\x:e. R, \\x:e. S) for determiner constants."""
         if not (isinstance(head, Const) and head.ty == QUANTIFIER_TYPE):
             return None
+        # Whether the sugared form fails here depends on the binders in scope
+        # only through those that hide a determiner: fewer binders resolve
+        # fewer names. Remembering failures keeps backtracking polynomial.
+        key = self.pos, tuple(b for b in self.binders
+                              if self.sig.get(b[0]) == QUANTIFIER_TYPE)
+        if key in self.failed_sugar:
+            return None
         saved = self.pos, self.depth
         outer = self.binders
         try:
@@ -490,6 +498,7 @@ class _TermParser(Scanner):
             if self.depth > MAX_NESTING:
                 raise
             # not the sugared form after all; reparse as a plain call
+            self.failed_sugar.add(key)
             self.pos, self.depth = saved
             return None
         finally:

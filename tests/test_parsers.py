@@ -1,6 +1,8 @@
 """The four text parsers: exact syntax errors, with their offsets, and the
 nesting limit."""
 
+import time
+
 import pytest
 
 from gluesem.errors import (
@@ -13,7 +15,7 @@ from gluesem.errors import (
 )
 from gluesem.fstructure import parse_fstructure
 from gluesem.glue import parse_glue
-from gluesem.terms import parse_term
+from gluesem.terms import format_term, parse_term
 from gluesem.types import MAX_NESTING, parse_type
 
 SIG = {
@@ -120,3 +122,24 @@ def test_nesting_past_the_limit_is_a_syntax_error(grammar, make):
             PARSERS[grammar](make(depth))
         assert str(info.value).startswith(
             f"nesting deeper than {MAX_NESTING} levels (at offset ")
+
+
+def test_failed_quantifier_sugar_backtracks_in_polynomial_time():
+    # each nested every(u, ... is tried as sugar, fails at the missing
+    # parentheses, and is reparsed as a plain call
+    text = "every(z, man(z), " + "every(u, " * 60 + "leave(u)"
+    start = time.perf_counter()
+    with pytest.raises(TermSyntaxError) as info:
+        parse_term(text, SIG)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "unknown identifier 'z' (at offset 7)"
+
+
+def test_sugar_retried_once_its_binder_no_longer_hides_a_determiner():
+    # as sugar, the outer binder a hides the determiner a, so the inner
+    # every(w, ...) fails; reparsed as a plain call, a is the determiner
+    # again and the same inner text is sugar after all
+    sig = dict(SIG, a=SIG["every"])
+    text = "every(a, man(a), every(w, a(v, man(v), leave(v)), leave(w)))"
+    assert format_term(parse_term(text, sig)) == \
+        "every(a, man(a), every(z, a(u, man(u), leave(u)), leave(z)))"
