@@ -234,6 +234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:  # last resort: input too wide to walk
+        print(f"error: input too large to process: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -88,6 +88,24 @@ def test_run_reports_input_nested_3000_deep(tmp_path, corpus_dir, capsys,
     assert err.startswith(f"error: nesting deeper than {MAX_NESTING} levels")
 
 
+def test_run_reports_a_3000_part_tensor_without_a_traceback(tmp_path,
+                                                           corpus_dir, capsys):
+    lexicon = (corpus_dir / "lexicon.glue").read_text(encoding="utf-8")
+    lexicon += ("\nentry wide\nPRED = Bill\nglue "
+                + " * ".join(["^.sig ~> Bill"] * 3000) + "\n")
+    (tmp_path / "lexicon.glue").write_text(lexicon, encoding="utf-8")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "scenario wide\nlexicon lexicon.glue\n"
+        "fstructure f:[PRED 'leave', SUBJ g:[PRED 'Bill']]\n"
+        "attach wide -> g\nattach left -> f\ngoal f\n", encoding="utf-8")
+    code = main(["run", str(scenario)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_run_count_only(corpus_dir, capsys):
     code = main(["run", scenario_path(corpus_dir, "bill-seeks-a-unicorn"),
                  "--count-only"])
