@@ -13,6 +13,7 @@ from gluesem.terms import (
     Bound,
     Const,
     Down,
+    Eigen,
     Lam,
     Up,
     Var,
@@ -205,6 +206,15 @@ def test_body_of_an_abstraction_prints_its_loose_index():
     x, y = Var("x", E), Var("y", E)
     nested = lam(x, lam(y, app(Const("find", arrow(E, E, T)), x, y))).body
     assert format_term(nested) == "\\z:e. find(#0, z)"
+
+
+def test_eigenvariable_prints_its_uid_only_beside_a_namesake():
+    find = Const("find", arrow(E, E, T))
+    x5, x9 = Eigen("x", 5, E), Eigen("x", 9, E)
+    assert format_term(App(LEAVE, x5)) == "leave(x)"
+    assert format_term(app(find, x5, x9)) == "find(x#5, x#9)"
+    assert format_term(app(find, x5, Var("x", E))) == "find(x#5, x)"
+    assert canonical_key(x5) == "v:x#5:e"
 
 
 def test_quantifier_sugar_is_application_underneath():
