@@ -167,10 +167,6 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def free_vars(t: Term) -> frozenset[Var]:
-    return frozenset(_collect(t, Var))
-
-
 def free_meta_vars(t: Term) -> set[MetaVar]:
     return _collect(t, MetaVar)
 
@@ -409,7 +405,7 @@ class _TermParser(Scanner):
         self.sig = signature
         self.frees = var_types
         self.binders: tuple[tuple[str, SimpleType], ...] = ()  # nearest first
-        self.failed_sugar: set = set()
+        self.failed_sugar: set[tuple] = set()
 
     def term(self) -> Term:
         if self.peek() != "\\":
@@ -477,9 +473,9 @@ class _TermParser(Scanner):
         """Parse Q(x, R, S) as Q(\\x:e. R, \\x:e. S) for determiner constants."""
         if not (isinstance(head, Const) and head.ty == QUANTIFIER_TYPE):
             return None
-        # Whether the sugared form fails here depends on the binders in scope
-        # only through those that hide a determiner: fewer binders resolve
-        # fewer names. Remembering failures keeps backtracking polynomial.
+        # A sugared form that failed here fails again under fewer binders,
+        # which resolve fewer names, unless a binder that hid a determiner
+        # is gone. Remembering failures keeps backtracking polynomial.
         key = self.pos, tuple(b for b in self.binders
                               if self.sig.get(b[0]) == QUANTIFIER_TYPE)
         if key in self.failed_sugar:
