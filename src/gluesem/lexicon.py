@@ -200,8 +200,11 @@ def premises(scenario: Scenario, lexicon: Lexicon) -> list[Premise]:
     A top-level tensor stays whole here; prover.prepare_premises splits it
     into its parts when the search, the oracle or check_proof consume it.
     """
-    return [Premise(word, instantiate(lexicon.entry(word), label, scenario.fs))
-            for word, label in scenario.attachments]
+    try:
+        return [Premise(w, instantiate(lexicon.entry(w), label, scenario.fs))
+                for w, label in scenario.attachments]
+    except RecursionError as exc:  # last resort: input too wide to walk
+        raise LexiconError(f"input too large to process: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -124,16 +124,27 @@ class Proof:
         return self.sequent.goal
 
 
-@dataclass
 class Reading:
     """One normalized closed meaning with a witnessing derivation.
 
-    The reference enumerator reports readings without reconstructing
-    derivation trees, so proof may be None there.
+    A reading from derive_readings rebuilds its proof on first read and
+    keeps it. The reference enumerator reports readings without derivation
+    trees, so proof may be None there.
     """
 
-    meaning: Term
-    proof: Optional[Proof]
+    __slots__ = ("meaning", "_proof", "_derivation")
+
+    def __init__(self, meaning: Term, proof: Optional[Proof],
+                 derivation: Optional[tuple] = None):
+        self.meaning = meaning
+        self._proof = proof
+        self._derivation = derivation  # the arguments of _proof
+
+    @property
+    def proof(self) -> Optional[Proof]:
+        if self._derivation is not None:
+            self._proof, self._derivation = _proof(*self._derivation), None
+        return self._proof
 
     def __repr__(self):
         return format_term(self.meaning)
@@ -738,8 +749,8 @@ def derive_readings(premises: Sequence[Union[Premise, Formula]],
     for ground_goal, subst, node in results:
         key = canonical_key(ground_goal.meaning)
         if key not in by_key:  # other proofs of one meaning add no reading
-            by_key[key] = Reading(ground_goal.meaning,
-                                  _proof(initial, ground_goal, subst, node))
+            by_key[key] = Reading(ground_goal.meaning, None,
+                                  (initial, ground_goal, subst, node))
     stats.readings = len(by_key)
     return [by_key[k] for k in sorted(by_key)]
 
@@ -749,13 +760,13 @@ def prove_theorem(goal: Formula,
                   stats: Optional[SearchStats] = None) -> Proof:
     """Prove a closed formula from no premises; the first proof found."""
     own_stats = stats if stats is not None else SearchStats()
-    proofs = prove((), goal, limits, own_stats)
-    if not proofs:
+    initial, results = _derivations((), goal, limits, own_stats)
+    if not results:
         raise NotProvable(
             f"not provable: {format_glue(goal)}",
             limit_hit=own_stats.limit_hit,
         )
-    return proofs[0]
+    return _proof(initial, *results[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import SCENARIO_NAMES
 
+from gluesem import prover
 from gluesem.cli import main
 from gluesem.types import MAX_NESTING
 
@@ -229,3 +230,32 @@ def test_batch_oracle_mode_passes(corpus_dir, capsys):
     code = main(["batch", str(corpus_dir), "--oracle"])
     assert code == 0
     assert "6/6 scenarios pass" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# proofs are rebuilt only where a trace prints them
+
+
+def _report(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    # run times are the only part of a report that differs between runs
+    out = re.sub(r'^  "seconds": .*\n', "", captured.out, flags=re.M)
+    return code, re.sub(r", \d+\.\d+s\)", ")", out), captured.err
+
+
+def test_reports_without_a_trace_build_no_proof(corpus_dir, capsys,
+                                                monkeypatch):
+    commands = [["run", scenario_path(corpus_dir, name), *flags]
+                for name in SCENARIO_NAMES
+                for flags in ([], ["--count-only"], ["--json"])]
+    commands.append(["batch", str(corpus_dir)])
+    before = [_report(argv, capsys) for argv in commands]
+
+    def no_proof(*args):
+        raise AssertionError("a proof was rebuilt")
+
+    monkeypatch.setattr(prover, "_proof", no_proof)
+    assert [_report(argv, capsys) for argv in commands] == before
+    with pytest.raises(AssertionError, match="a proof was rebuilt"):
+        main(["run", scenario_path(corpus_dir, "bill-left"), "--trace"])

@@ -134,6 +134,22 @@ goal f
         premises(scenario, LEXICON)
 
 
+def test_a_3000_part_tensor_entry_is_a_lexicon_error():
+    # instantiation walks a tensor chain recursively; an entry too wide to
+    # walk must still fail with a GlueError, not a RecursionError
+    lexicon = parse_lexicon("entry wide\nPRED = Bill\nconst Bill : e\nglue "
+                            + " * ".join(["^.sig ~> Bill"] * 3000) + "\n")
+    scenario = parse_scenario("""scenario wide
+lexicon ../lexicon.glue
+fstructure
+  f:[PRED 'Bill']
+attach wide -> f
+goal f
+""")
+    with pytest.raises(LexiconError, match="^input too large to process"):
+        premises(scenario, lexicon)
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 

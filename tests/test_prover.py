@@ -1,9 +1,12 @@
 """Backward-chaining search: readings, theorems, resource accounting."""
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
+from gluesem import prover
 from gluesem.errors import (
     GlueFormulaError,
     NonPatternUnification,
@@ -413,3 +416,69 @@ def test_proof_json_shape(corpus):
 
     walk(payload)
     assert len(seen) >= 3
+
+
+# ---------------------------------------------------------------------------
+# proofs on demand
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Count prover._replay calls: all of them, and the outermost ones."""
+    real = prover._replay
+    counts = {"calls": 0, "proofs": 0, "depth": 0}
+
+    def counting(*args):
+        counts["calls"] += 1
+        counts["proofs"] += counts["depth"] == 0
+        counts["depth"] += 1
+        try:
+            return real(*args)
+        finally:
+            counts["depth"] -= 1
+
+    monkeypatch.setattr(prover, "_replay", counting)
+    return counts
+
+
+def test_derive_readings_replays_no_proof(corpus, replays):
+    scenario, prems = corpus["conversation"]
+    assert len(derive_readings(prems, scenario.goal)) == 5
+    assert replays["calls"] == 0
+
+
+def test_each_proof_is_replayed_once_on_first_read(corpus, replays):
+    scenario, prems = corpus["conversation"]
+    for i, reading in enumerate(derive_readings(prems, scenario.goal), 1):
+        proof = reading.proof
+        assert replays["proofs"] == i
+        calls = replays["calls"]
+        assert reading.proof is proof
+        assert replays["calls"] == calls
+        check_proof(proof, premises=prems, goal=scenario.goal)
+
+
+def test_a_late_proof_read_matches_the_golden_trace(corpus):
+    # replay depends only on what the reading captured, so another search
+    # between the search and the read changes nothing
+    scenario, prems = corpus["conversation"]
+    readings = derive_readings(prems, scenario.goal)
+    for other, other_prems in corpus.values():
+        derive_readings(other_prems, other.goal)
+    golden = (GOLDEN / "conversation.trace.txt").read_text(encoding="utf-8")
+    # after the title line, "  i. meaning" and its trace indented by five
+    blocks = re.split(r"^  \d+\. .*\n", golden, flags=re.M)[1:]
+    assert len(blocks) == len(readings)
+    for reading, block in zip(readings, blocks):
+        assert format_proof(reading.proof) == \
+            "\n".join(line[5:] for line in block.splitlines())
+
+
+def test_oracle_readings_carry_no_proof(corpus, replays):
+    scenario, prems = corpus["conversation"]
+    readings = oracle_enumerate(prems, scenario.goal)
+    assert len(readings) == 5
+    assert all(r.proof is None for r in readings)
+    assert replays["calls"] == 0
