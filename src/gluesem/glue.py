@@ -195,7 +195,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
                 f"{binder.name} has type {format_type(binder.ty)}, got "
                 f"{format_type(infer_type(value))}"
             )
-        return _open(f.body, binder, value)
+        return open_formula(f.body, {binder.name: value}, {})
     if isinstance(value, Term):
         raise TypeError("projection binder instantiated with a meaning term")
     declared = getattr(value, "index", None)
@@ -204,31 +204,33 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
             f"{binder.name} indexes {format_type(binder.index)} resources, "
             f"got proj({format_type(declared)})"
         )
-    return _open(f.body, binder, value)
+    return open_formula(f.body, {}, {binder.name: value})
 
 
-def _open(f: Formula, binder: Binder, value: Union[Term, Proj]) -> Formula:
-    """Substitute value for the free occurrences of binder's variable in f.
+def open_formula(f: Formula, meanings: Mapping[str, Term],
+                 projs: Mapping[str, Proj]) -> Formula:
+    """Substitute, in one pass, for the free meaning and projection variables
+    of f that the two mappings name.
 
-    Only a quantifier of the same kind and name shadows the variable.
+    Only a quantifier of the same kind and name shadows a variable.
     """
-    if isinstance(f, GlueAtom):
-        if isinstance(binder, MeaningBinder):
-            meaning = subst_map(f.meaning, {binder.name: value})
-            return GlueAtom(f.proj, meaning, f.result_type)
-        if isinstance(f.proj, ProjVar) and f.proj.name == binder.name:
-            return GlueAtom(value, f.meaning, f.result_type)
+    if not meanings and not projs:
         return f
-    if isinstance(f, Impl):
-        return Impl(_open(f.left, binder, value),
-                    _open(f.right, binder, value))
-    if isinstance(f, Tensor):
-        return Tensor(_open(f.left, binder, value),
-                      _open(f.right, binder, value))
+    if isinstance(f, GlueAtom):
+        proj = f.proj
+        if isinstance(proj, ProjVar):
+            proj = projs.get(proj.name, proj)
+        return GlueAtom(proj, subst_map(f.meaning, meanings), f.result_type)
+    if isinstance(f, (Impl, Tensor)):
+        return type(f)(open_formula(f.left, meanings, projs),
+                       open_formula(f.right, meanings, projs))
     if isinstance(f, Forall):
-        if type(f.binder) is type(binder) and f.binder.name == binder.name:
-            return f
-        return Forall(f.binder, _open(f.body, binder, value))
+        name = f.binder.name
+        if isinstance(f.binder, MeaningBinder) and name in meanings:
+            meanings = {k: v for k, v in meanings.items() if k != name}
+        elif isinstance(f.binder, ProjBinder) and name in projs:
+            projs = {k: v for k, v in projs.items() if k != name}
+        return Forall(f.binder, open_formula(f.body, meanings, projs))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -2,9 +2,12 @@
 
 The search is goal directed with an input-output context discipline: proving
 a subgoal consumes some of the linear resources and hands the rest back. At
-an atomic goal the prover focuses on one context formula, strips its
-quantifiers into metavariables, unifies its head with the goal, and then
-proves the formula's antecedents left to right.
+an atomic goal the prover focuses on one context formula the way a logic
+program resolves a clause: it strips the quantifiers into metavariables,
+opens only the head and unifies it with the goal, and then proves the
+antecedents left to right, opening each when it is reached. Opening is one
+substitution pass for all the metavariables at once, and nothing is zonked
+up front: unification zonks what it compares.
 
 Quantifier reasoning uses one global counter: every eigenvariable and every
 metavariable carries the counter value from its creation. A metavariable's
@@ -48,6 +51,7 @@ from .glue import (
     instantiate,
     map_atoms,
     normalize_meanings,
+    open_formula,
 )
 from .lexicon import Premise
 from .terms import (
@@ -356,8 +360,9 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
                 state: _State) -> Optional[_Subst]:
     """Solve m(raw_args) = rhs by inverting rhs over the pattern arguments.
 
-    Pattern argument i of n, seen under d binders of rhs, becomes the index
-    d + n - 1 - i of the solution's own binders.
+    rhs must already be zonked and normal under subst, as every caller in
+    _unify passes it. Pattern argument i of n, seen under d binders of rhs,
+    becomes the index d + n - 1 - i of the solution's own binders.
     """
     positions = _pattern_args(m, raw_args, state)
     if positions is None:
@@ -406,7 +411,7 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
             return None if body is None else type(t)(body)
         return t  # Var, Const or Bound
 
-    body = invert(normalize(zonk_term(rhs, subst)), 0)
+    body = invert(rhs, 0)
     if body is None:
         return None
     solution = _lams(doms, body)
@@ -568,25 +573,34 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
 
 def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
            depth: int, state: _State) -> Iterator[tuple[_Subst, _Ctx, _SNode]]:
+    """Use context entry f on the atomic goal, as a clause.
+
+    The head is opened and unified first, so an entry whose head cannot
+    match costs one atom; each antecedent is opened when it is reached.
+    """
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
-    f = zonk_formula(f, subst)
     insts: list[Union[MetaVar, ProjMeta]] = []
+    meanings: dict[str, Term] = {}
+    projs: dict[str, Proj] = {}
     while isinstance(f, Forall):
         hole = _solve_goal_hole(f.binder, state.fresh())
         insts.append(hole)
-        f = instantiate(f, hole)
+        (meanings if isinstance(hole, MetaVar) else projs)[f.binder.name] = hole
+        f = f.body
     antecedents: list[Formula] = []
     while isinstance(f, Impl):
         antecedents.append(f.left)
         f = f.right
     if isinstance(f, Tensor):
+        f = zonk_formula(open_formula(f, meanings, projs), subst)
         raise GlueFormulaError(
             "a tensor under a quantified antecedent is not supported; "
             f"restructure the premise: {format_glue(f)}"
         )
-    unified = _unify_atoms(goal, f, subst, state)
+    unified = _unify_atoms(goal, open_formula(f, meanings, projs), subst,
+                           state)
     if unified is None:
         return
 
@@ -602,8 +616,9 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
                 ants=done
             )
             return
-        for out, ctx_out, node in _solve(ctx_cur, antecedents[index],
-                                         subst_cur, depth + 1, state):
+        antecedent = open_formula(antecedents[index], meanings, projs)
+        for out, ctx_out, node in _solve(ctx_cur, antecedent, subst_cur,
+                                         depth + 1, state):
             yield from prove_antecedents(index + 1, ctx_out, out,
                                          done + (node,))
 

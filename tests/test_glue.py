@@ -18,6 +18,7 @@ from gluesem.glue import (
     curry,
     format_glue,
     instantiate,
+    open_formula,
     parse_glue,
     polarity_roles,
 )
@@ -172,6 +173,20 @@ def test_instantiate_projection_passes_a_meaning_binder_of_that_name():
     assert alpha_equal_formulas(
         instantiate(f, SemProjectionRef("g")),
         parse("forall X:e. g.sig ~> X"),
+    )
+
+
+def test_open_formula_opens_both_kinds_at_once_with_same_kind_shadowing():
+    # x and X are free in the body; an inner binder of the same kind and name
+    # shadows its variable, a binder of the other kind shadows nothing
+    body = parse("forall X:proj(e), x:e. X ~> x -o (forall x:e. X ~> x) -o "
+                 "(forall X:proj(e). X ~> x) -o (forall X:e. X ~> X) -o "
+                 "(forall x:proj(e). x ~> x) -o f.sig ~> leave(x)").body.body
+    opened = open_formula(body, {"x": BILL}, {"X": SemProjectionRef("g")})
+    assert format_glue(opened) == (
+        "g.sig ~> Bill -o (forall x:e. g.sig ~> x) -o "
+        "(forall X:proj(e). X ~> Bill) -o (forall X:e. g.sig ~> X) -o "
+        "(forall x:proj(e). x ~> Bill) -o f.sig ~> leave(Bill)"
     )
 
 

@@ -1,7 +1,9 @@
 """Backward-chaining search: readings, theorems, resource accounting."""
 
+import importlib.util
 import itertools
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from gluesem.errors import (
     NotProvable,
 )
 from gluesem.glue import MeaningBinder, Tensor, atoms, format_glue, parse_glue
-from gluesem.lexicon import parse_lexicon, parse_scenario
+from gluesem.lexicon import load_scenario, parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
 from gluesem.oracle import oracle_enumerate
 from gluesem.proofcheck import check_proof
@@ -367,6 +369,84 @@ def test_quantified_tensor_subgoal_is_refused():
     )
     with pytest.raises(GlueFormulaError, match="tensor goals"):
         prove([premise], "f")
+
+
+# ---------------------------------------------------------------------------
+# focusing: the head opens first, each antecedent when it is reached
+
+FIND_SIG = {**SIG, "find": parse_type("e -> e -> t")}
+
+
+def test_focus_opens_the_head_first_and_each_antecedent_when_reached(
+        monkeypatch):
+    # the third premise's head, g.sig ~> Z, cannot match the goal f; tried
+    # there, its antecedent h.sig ~> Z must stay closed
+    premises = [parse_glue(text, FIND_SIG) for text in [
+        BILL, AL_H, "forall Z:e. h.sig ~> Z -o g.sig ~> Z",
+        "forall X:e, Y:e. g.sig ~> X -o g.sig ~> Y -o f.sig ~> find(X, Y)",
+    ]]
+    real_open, real_unify = prover.open_formula, prover._unify_atoms
+    log = []  # the formula each opening opens; True/False per head unified
+
+    def opening(f, meanings, projs):
+        log.append(format_glue(f))
+        return real_open(f, meanings, projs)
+
+    def unifying(goal, head, subst, state):
+        out = real_unify(goal, head, subst, state)
+        log.append(out is not None)
+        return out
+
+    monkeypatch.setattr(prover, "open_formula", opening)
+    monkeypatch.setattr(prover, "_unify_atoms", unifying)
+    readings = derive_readings(premises, "f")
+    assert [format_term(r.meaning) for r in readings] == \
+        ["find(Al, Bill)", "find(Bill, Al)"]
+    antecedents = []
+    for i, event in enumerate(log):
+        if isinstance(event, bool):
+            assert isinstance(log[i - 1], str)  # a head, opened just before
+        elif i + 1 == len(log) or not isinstance(log[i + 1], bool):
+            assert log[i - 1] is True  # reached only after a head unified
+            antecedents.append(event)
+    assert log[:6] == ["g.sig ~> Bill", False, "h.sig ~> Al", False,
+                       "g.sig ~> Z", False]
+    assert Counter(antecedents) == \
+        {"g.sig ~> X": 1, "g.sig ~> Y": 2, "h.sig ~> Z": 2}
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
+                                                        tmp_path):
+    # _solve_flex inverts its right-hand side as given, so every caller must
+    # pass one already zonked and normal under the substitution
+    real = prover._solve_flex
+    calls = []
+
+    def checked(m, raw_args, rhs, subst, state):
+        assert rhs == normalize(zonk_term(rhs, subst)), format_term(rhs)
+        calls.append(m)
+        return real(m, raw_args, rhs, subst, state)
+
+    monkeypatch.setattr(prover, "_solve_flex", checked)
+    for scenario, prems in corpus.values():
+        derive_readings(prems, scenario.goal)
+        oracle_enumerate(prems, scenario.goal)
+    files, cases = _perfbench_gen().scope_inputs(1, 3, 4)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for path, _ in cases:
+        scenario = load_scenario(str(tmp_path / path))
+        prems = lexicon_premises(scenario, scenario.lexicon)
+        assert len(derive_readings(prems, scenario.goal)) == 6
+    assert calls
 
 
 # ---------------------------------------------------------------------------
