@@ -321,14 +321,32 @@ def _curry(f: Formula, conclusion: bool) -> Formula:
             raise TensorInConclusion(
                 f"tensor in conclusion position: {format_glue(f)}"
             )
-        return Tensor(_curry(f.left, conclusion), _curry(f.right, conclusion))
+        first, *rest = _tensor_parts(f)
+        out = _curry(first, conclusion)
+        for part in rest:
+            out = Tensor(out, _curry(part, conclusion))
+        return out
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _peel(antecedent: Formula, conclusion: Formula) -> Formula:
-    if isinstance(antecedent, Tensor):
-        return _peel(antecedent.left, _peel(antecedent.right, conclusion))
+    while isinstance(antecedent, Tensor):
+        conclusion = _peel(antecedent.right, conclusion)
+        antecedent = antecedent.left
     return Impl(antecedent, conclusion)
+
+
+def _tensor_parts(f: Formula) -> list[Formula]:
+    """The operands of a left-nested tensor chain, left to right.
+
+    The chain is walked in a loop, so a wide one cannot exhaust the stack.
+    """
+    parts = []
+    while isinstance(f, Tensor):
+        parts.append(f.right)
+        f = f.left
+    parts.append(f)
+    return parts[::-1]
 
 
 def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
@@ -380,8 +398,10 @@ def _fkey(f: Formula, m_env: dict[str, Var], p_env: dict[str, ProjVar],
         return (f"({_fkey(f.left, m_env, p_env, counter)} -o "
                 f"{_fkey(f.right, m_env, p_env, counter)})")
     if isinstance(f, Tensor):
-        return (f"({_fkey(f.left, m_env, p_env, counter)} * "
-                f"{_fkey(f.right, m_env, p_env, counter)})")
+        keys = [_fkey(part, m_env, p_env, counter)
+                for part in _tensor_parts(f)]
+        return "(" * (len(keys) - 1) + keys[0] + "".join(
+            f" * {key})" for key in keys[1:])
     if isinstance(f, Forall):
         # the space inside the canonical name keeps it disjoint from any
         # name that could appear in source text
@@ -583,8 +603,9 @@ def _fmt(f: Formula, min_prec: int) -> str:
                 f"{_fmt(f.right, _PREC_IMPL)}")
         return f"({text})" if min_prec > _PREC_IMPL else text
     if isinstance(f, Tensor):
-        text = (f"{_fmt(f.left, _PREC_TENSOR)} * "
-                f"{_fmt(f.right, _PREC_TENSOR + 1)}")
+        first, *rest = _tensor_parts(f)
+        text = " * ".join([_fmt(first, _PREC_TENSOR)]
+                          + [_fmt(part, _PREC_TENSOR + 1) for part in rest])
         return f"({text})" if min_prec > _PREC_TENSOR else text
     raise TypeError(f"not a formula: {f!r}")
 

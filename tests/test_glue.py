@@ -17,6 +17,7 @@ from gluesem.glue import (
     check_wellformed,
     curry,
     format_glue,
+    formula_key,
     instantiate,
     open_formula,
     parse_glue,
@@ -188,6 +189,36 @@ def test_open_formula_opens_both_kinds_at_once_with_same_kind_shadowing():
         "(forall X:proj(e). X ~> Bill) -o (forall X:e. g.sig ~> X) -o "
         "(forall x:proj(e). x ~> Bill) -o f.sig ~> leave(Bill)"
     )
+
+
+# ---------------------------------------------------------------------------
+# wide input: tensor chains are walked in a loop
+
+WIDE = " * ".join(["g.sig ~> Bill"] * 3000)
+
+
+def test_a_3000_part_tensor_prints_back_as_parsed():
+    assert format_glue(parse(WIDE)) == WIDE
+
+
+def test_a_3000_part_tensor_has_a_formula_key():
+    part = formula_key(parse("g.sig ~> Bill"))
+    assert formula_key(parse(WIDE)) == \
+        "(" * 2999 + part + f" * {part})" * 2999
+
+
+def test_a_3000_part_tensor_curries_as_an_antecedent():
+    wide = parse(WIDE)
+    with pytest.raises(TensorInConclusion):
+        curry(wide)
+    conclusion = parse("f.sig ~> leave(Bill)")
+    f = curry(Impl(wide, conclusion))
+    parts = []
+    while isinstance(f, Impl):
+        parts.append(f.left)
+        f = f.right
+    assert f == conclusion
+    assert parts == [parse("g.sig ~> Bill")] * 3000
 
 
 # ---------------------------------------------------------------------------
