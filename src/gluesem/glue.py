@@ -212,7 +212,8 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
     """Substitute, in one pass, for the free meaning and projection variables
     of f that the two mappings name.
 
-    Only a quantifier of the same kind and name shadows a variable.
+    Only a quantifier of the same kind and name shadows a variable. An atom
+    with nothing to substitute comes back as the same object.
     """
     if not meanings and not projs:
         return f
@@ -220,7 +221,10 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
         proj = f.proj
         if isinstance(proj, ProjVar):
             proj = projs.get(proj.name, proj)
-        return GlueAtom(proj, subst_map(f.meaning, meanings), f.result_type)
+        meaning = subst_map(f.meaning, meanings)
+        if proj is f.proj and meaning is f.meaning:
+            return f
+        return GlueAtom(proj, meaning, f.result_type)
     if isinstance(f, (Impl, Tensor)):
         return type(f)(open_formula(f.left, meanings, projs),
                        open_formula(f.right, meanings, projs))
