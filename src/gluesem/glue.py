@@ -209,8 +209,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
 
 def open_formula(f: Formula, meanings: Mapping[str, Term],
                  projs: Mapping[str, Proj]) -> Formula:
-    """Substitute, in one pass, for the free meaning and projection variables
-    of f that the two mappings name.
+    """Substitute, in one pass, for the free variables the mappings name.
 
     Only a quantifier of the same kind and name shadows a variable. An atom
     with nothing to substitute comes back as the same object.

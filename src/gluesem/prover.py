@@ -2,12 +2,11 @@
 
 The search is goal directed with an input-output context discipline: proving
 a subgoal consumes some of the linear resources and hands the rest back. At
-an atomic goal the prover focuses on one context formula the way a logic
-program resolves a clause: it strips the quantifiers into metavariables,
-opens only the head and unifies it with the goal, and then proves the
-antecedents left to right, opening each when it is reached. Opening is one
-substitution pass for all the metavariables at once, and nothing is zonked
-up front: unification zonks what it compares.
+an atomic goal the prover uses one context formula as a clause: it strips
+the quantifiers into metavariables, opens and unifies only the head, then
+proves the antecedents left to right, opening each when it is reached.
+Opening is one substitution pass for all the metavariables; nothing is
+zonked up front, as unification zonks what it compares.
 
 Quantifier reasoning uses one global counter: every eigenvariable and every
 metavariable carries the counter value from its creation. A metavariable's
@@ -360,9 +359,9 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
                 state: _State) -> Optional[_Subst]:
     """Solve m(raw_args) = rhs by inverting rhs over the pattern arguments.
 
-    rhs must already be zonked and normal under subst, as every caller in
-    _unify passes it. Pattern argument i of n, seen under d binders of rhs,
-    becomes the index d + n - 1 - i of the solution's own binders.
+    rhs comes zonked and normal under subst. Pattern argument i of n, seen
+    under d binders of rhs, becomes the index d + n - 1 - i of the
+    solution's own binders.
     """
     positions = _pattern_args(m, raw_args, state)
     if positions is None:
