@@ -5,7 +5,9 @@ discipline. Invertible steps are applied outright: a quantified goal gets a
 fresh eigenvariable and an implication goal moves its antecedent into the
 context. At an atomic goal it picks a hypothesis and commits to it,
 decomposing it to its atomic head and trying every partition of the
-remaining resources at each implication along the way. The context never
+remaining resources at each implication along the way. A hypothesis's
+leading quantifiers open into holes in one substitution pass, and nothing
+is zonked up front: the unifier zonks what it compares. The context never
 holds a bare pair: prepare_premises splits a pair premise in two, and the
 premises and the goal are curried, so no antecedent is a pair either. The
 only sharing with the prover is the term and unification substrate;
@@ -29,6 +31,7 @@ from .glue import (
     Tensor,
     format_glue,
     instantiate,
+    open_formula,
 )
 from .lexicon import Premise
 from .prover import (
@@ -37,8 +40,8 @@ from .prover import (
     SearchStats,
     _goal_eigen,
     _ground_term,
+    _holes,
     _prepare_goal,
-    _solve_goal_hole,
     _State,
     _Subst,
     _unify_atoms,
@@ -96,19 +99,20 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
             subst: _Subst, depth: int, state: _State) -> Iterator[_Subst]:
     """Decompose one chosen hypothesis down to its head atom.
 
-    Quantifiers open into fresh holes, each implication tries every way of
-    paying for its antecedent out of the unused resources, and the final
-    atom must both match the goal and leave nothing unconsumed.
+    A run of quantifiers opens into fresh holes in one pass, a depth step
+    per hole. Each implication tries every way of paying for its antecedent
+    out of the unused resources. The final atom must both match the goal
+    and leave nothing unconsumed; it is not zonked first, as the unifier
+    zonks what it compares.
     """
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
     state.stats.nodes += 1
-    f = zonk_formula(f, subst)
     if isinstance(f, Forall):
-        hole = _solve_goal_hole(f.binder, state.fresh())
-        yield from _decide(instantiate(f, hole), rest, goal, subst,
-                           depth + 1, state)
+        holes, meanings, projs, body = _holes(f, state)
+        yield from _decide(open_formula(body, meanings, projs), rest, goal,
+                           subst, depth + len(holes), state)
         return
     if isinstance(f, Impl):
         n = len(rest)
@@ -122,7 +126,7 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
     if isinstance(f, Tensor):
         raise GlueFormulaError(
             "a pair below an implication is not supported here; "
-            f"restructure the premise: {format_glue(f)}"
+            f"restructure the premise: {format_glue(zonk_formula(f, subst))}"
         )
     if rest:
         return

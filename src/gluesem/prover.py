@@ -525,6 +525,20 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
     return ProjMeta(binder.name, uid, uid, binder.index)
 
 
+def _holes(f: Formula, state: _State) -> tuple[list, dict, dict, Formula]:
+    """Fresh holes for f's leading quantifiers, in binding order.
+
+    Returns them with open_formula's two mappings and the body below.
+    """
+    holes, meanings, projs = [], {}, {}
+    while isinstance(f, Forall):
+        hole = _solve_goal_hole(f.binder, state.fresh())
+        holes.append(hole)
+        (meanings if isinstance(hole, MetaVar) else projs)[f.binder.name] = hole
+        f = f.body
+    return holes, meanings, projs, f
+
+
 def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
     """A fresh eigenvariable for proving a goal-side quantifier."""
     if isinstance(binder, MeaningBinder):
@@ -580,14 +594,7 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
-    insts: list[Union[MetaVar, ProjMeta]] = []
-    meanings: dict[str, Term] = {}
-    projs: dict[str, Proj] = {}
-    while isinstance(f, Forall):
-        hole = _solve_goal_hole(f.binder, state.fresh())
-        insts.append(hole)
-        (meanings if isinstance(hole, MetaVar) else projs)[f.binder.name] = hole
-        f = f.body
+    insts, meanings, projs, f = _holes(f, state)
     antecedents: list[Formula] = []
     while isinstance(f, Impl):
         antecedents.append(f.left)

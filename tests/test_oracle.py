@@ -1,8 +1,14 @@
 """The reference enumerator must agree with the search on every scenario."""
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from gluesem.glue import parse_glue
+from gluesem import oracle
+from gluesem.glue import Forall, parse_glue
+from gluesem.lexicon import load_scenario, premises
 from gluesem.oracle import oracle_enumerate
 from gluesem.prover import SearchStats, derive_readings
 from gluesem.terms import canonical_key, format_term
@@ -82,3 +88,89 @@ def test_work_is_counted(corpus):
     stats = SearchStats()
     oracle_enumerate(prems, scenario.goal, stats=stats)
     assert stats.nodes > 0
+
+
+def test_a_hypothesis_opens_in_one_pass_and_is_never_zonked(corpus,
+                                                            monkeypatch):
+    # a run of quantifiers opens with one open_formula call, and the
+    # hypothesis is not zonked on the way down: the unifier zonks what it
+    # compares
+    real_decide, real_open = oracle._decide, oracle.open_formula
+    counts = Counter()
+
+    def deciding(f, *args):
+        counts["quantified"] += isinstance(f, Forall)
+        return real_decide(f, *args)
+
+    def opening(*args):
+        counts["opened"] += 1
+        return real_open(*args)
+
+    def zonking(*args):
+        raise AssertionError("zonk_formula called without an error")
+
+    monkeypatch.setattr(oracle, "_decide", deciding)
+    monkeypatch.setattr(oracle, "open_formula", opening)
+    monkeypatch.setattr(oracle, "zonk_formula", zonking)
+    scenario, prems = corpus["conversation"]
+    assert len(oracle_enumerate(prems, scenario.goal)) == 5
+    assert counts["opened"] == counts["quantified"] > 0
+
+
+# the smallest depth at which each scenario's enumeration is complete
+DEPTH_NEEDED = {
+    "bill-finds-al": 6,
+    "bill-left": 4,
+    "bill-seeks-a-unicorn": 18,
+    "bill-seeks-al": 12,
+    "conversation": 30,
+    "every-man-left": 10,
+}
+
+
+def test_depth_limit_is_hit_one_step_short(corpus):
+    # a quantifier run costs one depth step per quantifier, so the depth at
+    # which the limit stops being hit is fixed
+    for name, depth in DEPTH_NEEDED.items():
+        scenario, prems = corpus[name]
+        stats = SearchStats()
+        oracle_enumerate(prems, scenario.goal, depth=depth, stats=stats)
+        assert not stats.limit_hit, name
+        stats = SearchStats()
+        short = oracle_enumerate(prems, scenario.goal, depth=depth - 1,
+                                 stats=stats)
+        assert stats.limit_hit, name
+        if name != "conversation":
+            assert short == [], name
+
+
+def test_conversation_readings_appear_with_depth(corpus):
+    scenario, prems = corpus["conversation"]
+    counts = [len(oracle_enumerate(prems, scenario.goal, depth=depth))
+              for depth in range(19, 31)]
+    assert counts == [0] + [1] * 6 + [2] + [5] * 4
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_agrees_with_search_on_the_verified_sentences(corpus_dir, tmp_path):
+    # every subject-verb-object sentence of the benchmark's verified pass,
+    # over the shipped lexicon, with seed 1's attachment orders
+    lexicon = (corpus_dir / "lexicon.glue").as_posix()
+    files, paths = _perfbench_gen().verified_inputs(1, lexicon)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert len(paths) == 61
+    for path in paths:
+        scenario = load_scenario(str(tmp_path / path))
+        prems = premises(scenario, scenario.lexicon)
+        searched = derive_readings(prems, scenario.goal)
+        assert searched, path
+        assert keys(oracle_enumerate(prems, scenario.goal)) == \
+            keys(searched), path
