@@ -224,9 +224,11 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
         if proj is f.proj and meaning is f.meaning:
             return f
         return GlueAtom(proj, meaning, f.result_type)
-    if isinstance(f, (Impl, Tensor)):
-        return type(f)(open_formula(f.left, meanings, projs),
-                       open_formula(f.right, meanings, projs))
+    if isinstance(f, Impl):
+        return Impl(open_formula(f.left, meanings, projs),
+                    open_formula(f.right, meanings, projs))
+    if isinstance(f, Tensor):
+        return _map_parts(f, lambda part: open_formula(part, meanings, projs))
     if isinstance(f, Forall):
         name = f.binder.name
         if isinstance(f.binder, MeaningBinder) and name in meanings:
@@ -238,13 +240,16 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
 
 
 def atoms(f: Formula) -> Iterator[GlueAtom]:
-    if isinstance(f, GlueAtom):
-        yield f
-    elif isinstance(f, (Impl, Tensor)):
-        yield from atoms(f.left)
-        yield from atoms(f.right)
-    elif isinstance(f, Forall):
-        yield from atoms(f.body)
+    """The atoms of f, left to right, walked with an explicit stack."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, GlueAtom):
+            yield f
+        elif isinstance(f, (Impl, Tensor)):
+            stack += (f.right, f.left)
+        elif isinstance(f, Forall):
+            stack.append(f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +289,13 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
                 f"but the atom is indexed {format_type(f.result_type)}"
             )
         return
-    if isinstance(f, (Impl, Tensor)):
+    if isinstance(f, Impl):
         _check(f.left, env, proj_env)
         _check(f.right, env, proj_env)
+        return
+    if isinstance(f, Tensor):
+        for part in _tensor_parts(f):
+            _check(part, env, proj_env)
         return
     if isinstance(f, Forall):
         if isinstance(f.binder, MeaningBinder):
@@ -324,11 +333,7 @@ def _curry(f: Formula, conclusion: bool) -> Formula:
             raise TensorInConclusion(
                 f"tensor in conclusion position: {format_glue(f)}"
             )
-        first, *rest = _tensor_parts(f)
-        out = _curry(first, conclusion)
-        for part in rest:
-            out = Tensor(out, _curry(part, conclusion))
-        return out
+        return _map_parts(f, lambda part: _curry(part, conclusion))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -350,6 +355,15 @@ def _tensor_parts(f: Formula) -> list[Formula]:
         f = f.left
     parts.append(f)
     return parts[::-1]
+
+
+def _map_parts(f: Tensor, fn: Callable[[Formula], Formula]) -> Formula:
+    """The left-nested tensor chain f with fn applied to each operand."""
+    first, *rest = _tensor_parts(f)
+    out = fn(first)
+    for part in rest:
+        out = Tensor(out, fn(part))
+    return out
 
 
 def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:

@@ -682,11 +682,14 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
 # public interface
 
 def _split_top(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, Tensor):
-        yield from _split_top(f.left)
-        yield from _split_top(f.right)
-    else:
-        yield f
+    """The operands of a top-level tensor nest, left to right."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Tensor):
+            stack += (f.right, f.left)
+        else:
+            yield f
 
 
 def prepare_premises(premises: Sequence[Union[Premise, Formula]]) \

@@ -221,6 +221,18 @@ def test_a_3000_part_tensor_curries_as_an_antecedent():
     assert parts == [parse("g.sig ~> Bill")] * 3000
 
 
+def test_a_3000_part_tensor_lists_its_atoms_and_checks():
+    wide = parse(WIDE)
+    assert list(atoms(wide)) == [parse("g.sig ~> Bill")] * 3000
+    check_wellformed(wide, SIG)
+
+
+def test_a_3000_part_tensor_opens():
+    f = parse("forall X:e. " + " * ".join(["g.sig ~> X"] * 3000))
+    assert format_glue(open_formula(f.body, {"X": Const("Bill", E)}, {})) \
+        == WIDE
+
+
 # ---------------------------------------------------------------------------
 # quantifier roles: which side instantiates which variable
 

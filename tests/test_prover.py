@@ -30,6 +30,7 @@ from gluesem.prover import (
     _unify_meaning,
     derive_readings,
     format_proof,
+    prepare_premises,
     proof_json,
     prove,
     prove_theorem,
@@ -351,6 +352,17 @@ goal f
     check_proof(proof, None, premises, "f")
     readings = derive_readings(premises, "f")
     assert [format_term(r.meaning) for r in readings] == ["meet(Bill, Al)"]
+
+
+def test_a_3000_part_tensor_premise_is_split_and_searched():
+    # the chain splits in a loop; like a 3-part chain, it leaves parts
+    # unused for the goal, so there is no reading
+    sig = {"Bill": E}
+    wide = parse_glue(" * ".join([BILL] * 3000), sig)
+    assert prepare_premises([wide]) == [parse_glue(BILL, sig)] * 3000
+    narrow = parse_glue(" * ".join([BILL] * 3), sig)
+    assert derive_readings([narrow], "g") == []
+    assert derive_readings([wide], "g") == []
 
 
 def test_quantified_tensor_hypothesis_is_refused():
