@@ -240,7 +240,7 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
 
 
 def atoms(f: Formula) -> Iterator[GlueAtom]:
-    """The atoms of f, left to right, walked with an explicit stack."""
+    """The atoms of f, left to right, found without recursion."""
     stack = [f]
     while stack:
         f = stack.pop()

@@ -682,7 +682,7 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
 # public interface
 
 def _split_top(f: Formula) -> Iterator[Formula]:
-    """The operands of a top-level tensor nest, left to right."""
+    """The operands of a top-level tensor nest in order, without recursion."""
     stack = [f]
     while stack:
         f = stack.pop()
