@@ -126,8 +126,9 @@ class Impl:
 
 @dataclass(frozen=True)
 class Tensor:
-    left: "Formula"
-    right: "Formula"
+    """A chain of two or more operands; the first is never a tensor."""
+
+    parts: tuple["Formula", ...]
 
     def __repr__(self):
         return format_glue(self)
@@ -172,7 +173,7 @@ def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
     if isinstance(f, Impl):
         return Impl(map_atoms(f.left, fn), map_atoms(f.right, fn))
     if isinstance(f, Tensor):
-        return Tensor(map_atoms(f.left, fn), map_atoms(f.right, fn))
+        return Tensor(tuple(map_atoms(part, fn) for part in f.parts))
     if isinstance(f, Forall):
         return Forall(f.binder, map_atoms(f.body, fn))
     raise TypeError(f"not a formula: {f!r}")
@@ -228,7 +229,8 @@ def open_formula(f: Formula, meanings: Mapping[str, Term],
         return Impl(open_formula(f.left, meanings, projs),
                     open_formula(f.right, meanings, projs))
     if isinstance(f, Tensor):
-        return _map_parts(f, lambda part: open_formula(part, meanings, projs))
+        return Tensor(tuple(open_formula(part, meanings, projs)
+                            for part in f.parts))
     if isinstance(f, Forall):
         name = f.binder.name
         if isinstance(f.binder, MeaningBinder) and name in meanings:
@@ -246,8 +248,10 @@ def atoms(f: Formula) -> Iterator[GlueAtom]:
         f = stack.pop()
         if isinstance(f, GlueAtom):
             yield f
-        elif isinstance(f, (Impl, Tensor)):
+        elif isinstance(f, Impl):
             stack += (f.right, f.left)
+        elif isinstance(f, Tensor):
+            stack += reversed(f.parts)
         elif isinstance(f, Forall):
             stack.append(f.body)
 
@@ -294,7 +298,7 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
         _check(f.right, env, proj_env)
         return
     if isinstance(f, Tensor):
-        for part in _tensor_parts(f):
+        for part in f.parts:
             _check(part, env, proj_env)
         return
     if isinstance(f, Forall):
@@ -333,37 +337,16 @@ def _curry(f: Formula, conclusion: bool) -> Formula:
             raise TensorInConclusion(
                 f"tensor in conclusion position: {format_glue(f)}"
             )
-        return _map_parts(f, lambda part: _curry(part, conclusion))
+        return Tensor(tuple(_curry(part, conclusion) for part in f.parts))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _peel(antecedent: Formula, conclusion: Formula) -> Formula:
-    while isinstance(antecedent, Tensor):
-        conclusion = _peel(antecedent.right, conclusion)
-        antecedent = antecedent.left
-    return Impl(antecedent, conclusion)
-
-
-def _tensor_parts(f: Formula) -> list[Formula]:
-    """The operands of a left-nested tensor chain, left to right.
-
-    The chain is walked in a loop, so a wide one cannot exhaust the stack.
-    """
-    parts = []
-    while isinstance(f, Tensor):
-        parts.append(f.right)
-        f = f.left
-    parts.append(f)
-    return parts[::-1]
-
-
-def _map_parts(f: Tensor, fn: Callable[[Formula], Formula]) -> Formula:
-    """The left-nested tensor chain f with fn applied to each operand."""
-    first, *rest = _tensor_parts(f)
-    out = fn(first)
-    for part in rest:
-        out = Tensor(out, fn(part))
-    return out
+    if not isinstance(antecedent, Tensor):
+        return Impl(antecedent, conclusion)
+    for part in reversed(antecedent.parts):
+        conclusion = _peel(part, conclusion)
+    return conclusion
 
 
 def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
@@ -387,8 +370,8 @@ def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
             walk(g.left, not premise_side)
             walk(g.right, premise_side)
         elif isinstance(g, Tensor):
-            walk(g.left, premise_side)
-            walk(g.right, premise_side)
+            for part in g.parts:
+                walk(part, premise_side)
 
     walk(f, True)
     return roles
@@ -416,7 +399,7 @@ def _fkey(f: Formula, m_env: dict[str, Var], p_env: dict[str, ProjVar],
                 f"{_fkey(f.right, m_env, p_env, counter)})")
     if isinstance(f, Tensor):
         keys = [_fkey(part, m_env, p_env, counter)
-                for part in _tensor_parts(f)]
+                for part in f.parts]
         return "(" * (len(keys) - 1) + keys[0] + "".join(
             f" * {key})" for key in keys[1:])
     if isinstance(f, Forall):
@@ -508,11 +491,15 @@ class _GlueParser(Scanner):
         return left
 
     def tensor(self) -> Formula:
-        left = self.unit()
+        first = self.unit()
+        if self.peek() != "*":
+            return first
+        # a parenthesized tensor in first position joins the chain
+        parts = list(first.parts) if isinstance(first, Tensor) else [first]
         while self.peek() == "*":
             self.pos += 1
-            left = Tensor(left, self.unit())
-        return left
+            parts.append(self.unit())
+        return Tensor(tuple(parts))
 
     def unit(self) -> Formula:
         # a parenthesized formula, unless this is the (^ PATH).sig form
@@ -620,7 +607,7 @@ def _fmt(f: Formula, min_prec: int) -> str:
                 f"{_fmt(f.right, _PREC_IMPL)}")
         return f"({text})" if min_prec > _PREC_IMPL else text
     if isinstance(f, Tensor):
-        first, *rest = _tensor_parts(f)
+        first, *rest = f.parts
         text = " * ".join([_fmt(first, _PREC_TENSOR)]
                           + [_fmt(part, _PREC_TENSOR + 1) for part in rest])
         return f"({text})" if min_prec > _PREC_TENSOR else text

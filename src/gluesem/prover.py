@@ -682,14 +682,12 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
 # public interface
 
 def _split_top(f: Formula) -> Iterator[Formula]:
-    """The operands of a top-level tensor nest in order, without recursion."""
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Tensor):
-            stack += (f.right, f.left)
-        else:
-            yield f
+    """The operands of a top-level tensor nest in order."""
+    if not isinstance(f, Tensor):
+        yield f
+        return
+    for part in f.parts:
+        yield from _split_top(part)
 
 
 def prepare_premises(premises: Sequence[Union[Premise, Formula]]) \

@@ -207,6 +207,24 @@ def test_a_3000_part_tensor_has_a_formula_key():
         "(" * 2999 + part + f" * {part})" * 2999
 
 
+def test_a_tensor_in_first_position_joins_the_chain():
+    g, h, i = "g.sig ~> Bill", "h.sig ~> Bill", "f.sig ~> Bill"
+    flat = parse(f"{g} * {h} * {i}")
+    assert flat.parts == (parse(g), parse(h), parse(i))
+    assert parse(f"({g} * {h}) * {i}") == flat
+    nested = parse(f"{g} * ({h} * {i})")
+    assert nested.parts == (parse(g), parse(f"{h} * {i}"))
+    assert format_glue(nested) == f"{g} * ({h} * {i})"
+
+
+def test_3000_part_tensors_compare_and_hash():
+    a, b = parse(WIDE), parse(WIDE)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != parse(WIDE + " * g.sig ~> Bill")
+
+
 def test_a_3000_part_tensor_curries_as_an_antecedent():
     wide = parse(WIDE)
     with pytest.raises(TensorInConclusion):

@@ -4,7 +4,7 @@ import pytest
 
 from gluesem.errors import LexiconError, MissingAttribute, PredMismatch
 from gluesem.fstructure import parse_fstructure
-from gluesem.glue import alpha_equal_formulas, formula_key, parse_glue
+from gluesem.glue import Tensor, alpha_equal_formulas, formula_key, parse_glue
 from gluesem.lexicon import (
     instantiate,
     load_scenario,
@@ -134,20 +134,33 @@ goal f
         premises(scenario, LEXICON)
 
 
-def test_a_3000_part_tensor_entry_is_a_lexicon_error():
-    # instantiation walks a tensor chain recursively; an entry too wide to
-    # walk must still fail with a GlueError, not a RecursionError
-    lexicon = parse_lexicon("entry wide\nPRED = Bill\nconst Bill : e\nglue "
-                            + " * ".join(["^.sig ~> Bill"] * 3000) + "\n")
-    scenario = parse_scenario("""scenario wide
+WIDE_SCENARIO = parse_scenario("""scenario wide
 lexicon ../lexicon.glue
 fstructure
   f:[PRED 'Bill']
 attach wide -> f
 goal f
 """)
+
+
+def test_a_3000_part_tensor_entry_instantiates():
+    # a tensor chain is one node, so instantiation maps its parts in a loop
+    lexicon = parse_lexicon("entry wide\nPRED = Bill\nconst Bill : e\nglue "
+                            + " * ".join(["^.sig ~> Bill"] * 3000) + "\n")
+    [premise] = premises(WIDE_SCENARIO, lexicon)
+    part = parse_glue("f.sig ~> Bill", lexicon.signature)
+    assert premise.formula == Tensor((part,) * 3000)
+
+
+def test_an_entry_too_deep_to_instantiate_is_a_lexicon_error():
+    # one forall over 3,000 binders nests 3,000 quantifier nodes, which
+    # instantiation walks recursively; it must fail with a GlueError, not a
+    # RecursionError
+    binders = ", ".join(f"X{i}:e" for i in range(3000))
+    lexicon = parse_lexicon("entry wide\nPRED = Bill\nconst Bill : e\n"
+                            f"glue forall {binders}. ^.sig ~> Bill\n")
     with pytest.raises(LexiconError, match="^input too large to process"):
-        premises(scenario, lexicon)
+        premises(WIDE_SCENARIO, lexicon)
 
 
 # ---------------------------------------------------------------------------
