@@ -19,29 +19,28 @@ attached to a concrete node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     AtomTypeMismatch,
     GlueSyntaxError,
     OpenVariable,
     TensorInConclusion,
+    UnboundVariable,
 )
 from .fstructure import FACETS, SemProjectionRef
 from .terms import (
     Term,
     Var,
-    canonical_key,
     format_term,
     infer_type,
     normalize,
+    open_bound,
     parse_term_prefix,
-    subst_map,
     typecheck,
 )
 from .types import IDENT_RE, BaseType, Scanner, SimpleType, format_type
-from .errors import UnboundVariable
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +48,12 @@ from .errors import UnboundVariable
 
 @dataclass(frozen=True)
 class ProjVar:
-    """Occurrence of a projection variable bound by a quantifier."""
+    """A bound projection; index 0 is the nearest projection binder."""
 
-    name: str
+    index: int
 
     def __repr__(self):
-        return self.name
+        return f"#{self.index}"
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ class Tensor:
 
 @dataclass(frozen=True)
 class MeaningBinder:
-    name: str
+    name: str = field(compare=False)  # for printing only
     ty: SimpleType
 
 
@@ -144,7 +143,7 @@ class MeaningBinder:
 class ProjBinder:
     """Binds a projection variable; index is the meaning type it carries."""
 
-    name: str
+    name: str = field(compare=False)  # for printing only
     index: SimpleType
 
 
@@ -196,7 +195,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
                 f"{binder.name} has type {format_type(binder.ty)}, got "
                 f"{format_type(infer_type(value))}"
             )
-        return open_formula(f.body, {binder.name: value}, {})
+        return open_formula(f.body, (value,), ())
     if isinstance(value, Term):
         raise TypeError("projection binder instantiated with a meaning term")
     declared = getattr(value, "index", None)
@@ -205,39 +204,40 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
             f"{binder.name} indexes {format_type(binder.index)} resources, "
             f"got proj({format_type(declared)})"
         )
-    return open_formula(f.body, {}, {binder.name: value})
+    return open_formula(f.body, (), (value,))
 
 
-def open_formula(f: Formula, meanings: Mapping[str, Term],
-                 projs: Mapping[str, Proj]) -> Formula:
-    """Substitute, in one pass, for the free variables the mappings name.
+def open_formula(f: Formula, meanings: Sequence[Term],
+                 projs: Sequence[Proj], m: int = 0, p: int = 0) -> Formula:
+    """Open, in one pass, binders of both kinds outside f's own.
 
-    Only a quantifier of the same kind and name shadows a variable. An atom
-    with nothing to substitute comes back as the same object.
+    meanings[i] replaces the meaning variable of index i, counted from
+    outside f's m meaning binders, and projs does the same for projection
+    variables past p projection binders. An atom with nothing to substitute
+    comes back as the same object.
     """
     if not meanings and not projs:
         return f
     if isinstance(f, GlueAtom):
         proj = f.proj
-        if isinstance(proj, ProjVar):
-            proj = projs.get(proj.name, proj)
-        meaning = subst_map(f.meaning, meanings)
+        if isinstance(proj, ProjVar) and projs and proj.index >= p:
+            i = proj.index - p
+            proj = projs[i] if i < len(projs) \
+                else ProjVar(proj.index - len(projs))
+        meaning = open_bound(f.meaning, meanings, m)
         if proj is f.proj and meaning is f.meaning:
             return f
         return GlueAtom(proj, meaning, f.result_type)
     if isinstance(f, Impl):
-        return Impl(open_formula(f.left, meanings, projs),
-                    open_formula(f.right, meanings, projs))
+        return Impl(open_formula(f.left, meanings, projs, m, p),
+                    open_formula(f.right, meanings, projs, m, p))
     if isinstance(f, Tensor):
-        return Tensor(tuple(open_formula(part, meanings, projs)
+        return Tensor(tuple(open_formula(part, meanings, projs, m, p)
                             for part in f.parts))
     if isinstance(f, Forall):
-        name = f.binder.name
-        if isinstance(f.binder, MeaningBinder) and name in meanings:
-            meanings = {k: v for k, v in meanings.items() if k != name}
-        elif isinstance(f.binder, ProjBinder) and name in projs:
-            projs = {k: v for k, v in projs.items() if k != name}
-        return Forall(f.binder, open_formula(f.body, meanings, projs))
+        meaning = isinstance(f.binder, MeaningBinder)
+        return Forall(f.binder, open_formula(f.body, meanings, projs,
+                                             m + meaning, p + (not meaning)))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -266,25 +266,27 @@ def check_wellformed(f: Formula, signature: Mapping[str, SimpleType]) -> None:
     enclosing quantifier (constants come from the signature); each atom's
     meaning must typecheck at exactly the atom's declared index.
     """
-    _check(f, signature, {})
+    _check(f, signature, (), ())
 
 
 def _check(f: Formula, env: Mapping[str, SimpleType],
-           proj_env: Mapping[str, SimpleType]) -> None:
+           meanings: tuple[SimpleType, ...],
+           projs: tuple[ProjBinder, ...]) -> None:
+    """meanings and projs describe the enclosing binders, nearest first."""
     if isinstance(f, GlueAtom):
         if isinstance(f.proj, ProjVar):
-            index = proj_env.get(f.proj.name)
-            if index is None:
-                raise OpenVariable(
-                    f"projection variable {f.proj.name} is not bound"
-                )
-            if index != f.result_type:
+            if f.proj.index >= len(projs):
+                raise OpenVariable(f"projection variable {f.proj!r} is not "
+                                   "bound")
+            binder = projs[f.proj.index]
+            if binder.index != f.result_type:
                 raise AtomTypeMismatch(
-                    f"{f.proj.name} carries {format_type(index)} resources "
-                    f"but the atom is indexed {format_type(f.result_type)}"
+                    f"{binder.name} carries {format_type(binder.index)} "
+                    "resources but the atom is indexed "
+                    f"{format_type(f.result_type)}"
                 )
         try:
-            ty = typecheck(f.meaning, env)
+            ty = typecheck(f.meaning, env, meanings)
         except UnboundVariable as exc:
             raise OpenVariable(str(exc)) from None
         if ty != f.result_type:
@@ -294,18 +296,18 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
             )
         return
     if isinstance(f, Impl):
-        _check(f.left, env, proj_env)
-        _check(f.right, env, proj_env)
+        _check(f.left, env, meanings, projs)
+        _check(f.right, env, meanings, projs)
         return
     if isinstance(f, Tensor):
         for part in f.parts:
-            _check(part, env, proj_env)
+            _check(part, env, meanings, projs)
         return
     if isinstance(f, Forall):
         if isinstance(f.binder, MeaningBinder):
-            _check(f.body, {**env, f.binder.name: f.binder.ty}, proj_env)
+            _check(f.body, env, (f.binder.ty,) + meanings, projs)
         else:
-            _check(f.body, env, {**proj_env, f.binder.name: f.binder.index})
+            _check(f.body, env, meanings, (f.binder,) + projs)
         return
     raise TypeError(f"not a formula: {f!r}")
 
@@ -380,47 +382,9 @@ def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # alpha comparison
 
-def formula_key(f: Formula) -> str:
-    """Canonical rendering, invariant under renaming of bound variables."""
-    return _fkey(f, {}, {}, [0])
-
-
-def _fkey(f: Formula, m_env: dict[str, Var], p_env: dict[str, ProjVar],
-          counter: list[int]) -> str:
-    if isinstance(f, GlueAtom):
-        meaning = subst_map(f.meaning, m_env)
-        proj = f.proj
-        if isinstance(proj, ProjVar):
-            proj = p_env.get(proj.name, proj)
-        return (f"A[{proj!r};{canonical_key(meaning)};"
-                f"{format_type(f.result_type)}]")
-    if isinstance(f, Impl):
-        return (f"({_fkey(f.left, m_env, p_env, counter)} -o "
-                f"{_fkey(f.right, m_env, p_env, counter)})")
-    if isinstance(f, Tensor):
-        keys = [_fkey(part, m_env, p_env, counter)
-                for part in f.parts]
-        return "(" * (len(keys) - 1) + keys[0] + "".join(
-            f" * {key})" for key in keys[1:])
-    if isinstance(f, Forall):
-        # the space inside the canonical name keeps it disjoint from any
-        # name that could appear in source text
-        fresh = f" q{counter[0]}"
-        counter[0] += 1
-        if isinstance(f.binder, MeaningBinder):
-            m_env = dict(m_env)
-            m_env[f.binder.name] = Var(fresh, f.binder.ty)
-            body = _fkey(f.body, m_env, p_env, counter)
-            return f"(all {fresh}:{format_type(f.binder.ty)}.{body})"
-        p_env = dict(p_env)
-        p_env[f.binder.name] = ProjVar(fresh)
-        body = _fkey(f.body, m_env, p_env, counter)
-        return f"(allp {fresh}:{format_type(f.binder.index)}.{body})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def alpha_equal_formulas(a: Formula, b: Formula) -> bool:
-    return formula_key(a) == formula_key(b)
+    """Binders are nameless, so alpha-equivalent formulas are equal."""
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +396,10 @@ class _GlueParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType]):
         super().__init__(text)
         self.sig = signature
-        self.meaning_env: dict[str, SimpleType] = {}
-        self.proj_env: dict[str, SimpleType] = {}
-        self.unbound: Optional[str] = None  # first unbound projection variable
+        # the enclosing binders, nearest first
+        self.meanings: tuple[tuple[str, SimpleType], ...] = ()
+        self.projs: tuple[ProjBinder, ...] = ()
+        self.unbound = None  # the first unbound projection variable
 
     def at_word(self, word: str) -> bool:
         self.skip_ws()
@@ -453,18 +418,16 @@ class _GlueParser(Scanner):
             self.pos += 1
             binders.append(self.binder())
         self.expect(".")
-        outer = self.meaning_env, self.proj_env
-        meanings, projs = dict(self.meaning_env), dict(self.proj_env)
+        outer = self.meanings, self.projs
         for b in binders:
             if isinstance(b, MeaningBinder):
-                meanings[b.name] = b.ty
+                self.meanings = ((b.name, b.ty),) + self.meanings
             else:
-                projs[b.name] = b.index
-        self.meaning_env, self.proj_env = meanings, projs
+                self.projs = (b,) + self.projs
         self.deeper()
         body = self.formula()
         self.depth -= 1
-        self.meaning_env, self.proj_env = outer
+        self.meanings, self.projs = outer
         for b in reversed(binders):
             body = Forall(b, body)
         return body
@@ -518,16 +481,15 @@ class _GlueParser(Scanner):
     def atom(self) -> GlueAtom:
         proj = self.proj()
         self.expect("~>")
-        meaning = parse_term_prefix(self, self.sig, self.meaning_env)
+        meaning = parse_term_prefix(self, self.sig, self.meanings)
         result_type = infer_type(meaning)
-        if isinstance(proj, ProjVar):
-            index = self.proj_env.get(proj.name)
-            if index is None:
-                self.unbound = self.unbound or proj.name
-            elif index != result_type:
+        if isinstance(proj, ProjVar) and proj.index < len(self.projs):
+            binder = self.projs[proj.index]
+            if binder.index != result_type:
+                named = open_bound(meaning, [Var(*b) for b in self.meanings])
                 raise AtomTypeMismatch(
-                    f"{proj.name} carries {format_type(index)} resources but "
-                    f"{format_term(meaning)} has type "
+                    f"{binder.name} carries {format_type(binder.index)} "
+                    f"resources but {format_term(named)} has type "
                     f"{format_type(result_type)}"
                 )
         return GlueAtom(proj, meaning, result_type)
@@ -548,7 +510,12 @@ class _GlueParser(Scanner):
         name = self.ident()
         if self.text.startswith(".", self.pos):
             return SemProjectionRef(name, self.facet())
-        return ProjVar(name)
+        for index, binder in enumerate(self.projs):
+            if binder.name == name:
+                return ProjVar(index)
+        # reported when parsing ends, so a syntax error comes first
+        self.unbound = self.unbound or name
+        return ProjVar(len(self.projs))
 
     def facet(self) -> str:
         """Read .sig and an optional facet, .VAR or .RESTR."""
@@ -566,11 +533,7 @@ class _GlueParser(Scanner):
 
 
 def parse_glue(text: str, signature: Mapping[str, SimpleType]) -> Formula:
-    """Parse a formula and verify that it is closed and well typed.
-
-    Templates (with ^ paths) skip the projection binding check but still get
-    their meaning sides validated.
-    """
+    """Parse a formula and verify that it is closed and well typed."""
     parser = _GlueParser(text, signature)
     f = parser.finish(parser.formula())
     if parser.unbound is not None:
@@ -587,29 +550,41 @@ _PREC_TENSOR = 2
 
 
 def format_glue(f: Formula) -> str:
-    return _fmt(f, 0)
+    return _fmt(f, 0, (), ())
 
 
-def _fmt(f: Formula, min_prec: int) -> str:
+def _fmt(f: Formula, min_prec: int, meanings: tuple[Var, ...],
+         projs: tuple[str, ...]) -> str:
+    """meanings and projs name the enclosing binders, nearest first.
+
+    An atom's meaning is shown with its bound variables as free ones, which
+    the term printer does not rename.
+    """
     if isinstance(f, GlueAtom):
-        return f"{format_proj(f.proj)} ~> {format_term(f.meaning)}"
+        return (f"{format_proj(f.proj, projs)} ~> "
+                f"{format_term(open_bound(f.meaning, meanings))}")
     if isinstance(f, Forall):
         binders = []
         body: Formula = f
         while isinstance(body, Forall):
             binders.append(body.binder)
+            if isinstance(body.binder, MeaningBinder):
+                meanings = (Var(body.binder.name, body.binder.ty),) + meanings
+            else:
+                projs = (body.binder.name,) + projs
             body = body.body
         rendered = ", ".join(_fmt_binder(b) for b in binders)
-        text = f"forall {rendered}. {_fmt(body, _PREC_FORALL)}"
+        text = f"forall {rendered}. {_fmt(body, _PREC_FORALL, meanings, projs)}"
         return f"({text})" if min_prec > _PREC_FORALL else text
     if isinstance(f, Impl):
-        text = (f"{_fmt(f.left, _PREC_IMPL + 1)} -o "
-                f"{_fmt(f.right, _PREC_IMPL)}")
+        text = (f"{_fmt(f.left, _PREC_IMPL + 1, meanings, projs)} -o "
+                f"{_fmt(f.right, _PREC_IMPL, meanings, projs)}")
         return f"({text})" if min_prec > _PREC_IMPL else text
     if isinstance(f, Tensor):
         first, *rest = f.parts
-        text = " * ".join([_fmt(first, _PREC_TENSOR)]
-                          + [_fmt(part, _PREC_TENSOR + 1) for part in rest])
+        text = " * ".join(
+            [_fmt(first, _PREC_TENSOR, meanings, projs)]
+            + [_fmt(part, _PREC_TENSOR + 1, meanings, projs) for part in rest])
         return f"({text})" if min_prec > _PREC_TENSOR else text
     raise TypeError(f"not a formula: {f!r}")
 
@@ -623,5 +598,8 @@ def _fmt_binder(b: Binder) -> str:
     return f"{b.name}:{ty_text}"
 
 
-def format_proj(p: Proj) -> str:
+def format_proj(p: Proj, outer: Sequence[str] = ()) -> str:
+    """outer names the enclosing projection binders, nearest first."""
+    if isinstance(p, ProjVar) and p.index < len(outer):
+        return outer[p.index]
     return p.name if isinstance(p, ProjEigen) else repr(p)

@@ -27,7 +27,6 @@ from .glue import (
     ProjEigen,
     atoms,
     curry,
-    formula_key,
     instantiate,
     normalize_meanings,
 )
@@ -37,9 +36,9 @@ from .terms import Eigen, MetaVar, _collect, alpha_equal, normalize
 from .types import T
 
 
-def _key(f: Formula) -> str:
-    """Alpha key with meanings normalized: comparison is up to the laws."""
-    return formula_key(normalize_meanings(f))
+def _key(f: Formula) -> Formula:
+    """f with meanings normalized; binders are nameless, so == is alpha."""
+    return normalize_meanings(f)
 
 
 def _multiset(fs: Sequence[Formula]) -> Counter:

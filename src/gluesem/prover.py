@@ -525,17 +525,18 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
     return ProjMeta(binder.name, uid, uid, binder.index)
 
 
-def _holes(f: Formula, state: _State) -> tuple[list, dict, dict, Formula]:
+def _holes(f: Formula, state: _State) -> tuple[list, list, list, Formula]:
     """Fresh holes for f's leading quantifiers, in binding order.
 
-    Returns them with open_formula's two mappings and the body below.
+    Returns them with open_formula's two sequences, nearest binder first,
+    and the body below.
     """
-    holes, meanings, projs = [], {}, {}
+    holes = []
     while isinstance(f, Forall):
-        hole = _solve_goal_hole(f.binder, state.fresh())
-        holes.append(hole)
-        (meanings if isinstance(hole, MetaVar) else projs)[f.binder.name] = hole
+        holes.append(_solve_goal_hole(f.binder, state.fresh()))
         f = f.body
+    meanings = [h for h in reversed(holes) if isinstance(h, MetaVar)]
+    projs = [h for h in reversed(holes) if isinstance(h, ProjMeta)]
     return holes, meanings, projs, f
 
 

@@ -25,7 +25,7 @@ parser and the printer translate to and from the named syntax above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     ExtensionOfNonIntension,
@@ -224,13 +224,25 @@ def lam(var: Var, body: Term) -> Lam:
 
 def open_lam(f: Lam, value: Term) -> Term:
     """One beta step: the body of f with value in place of its binder."""
-    def leaf(u: Term, depth: int) -> Term:
-        if not isinstance(u, Bound) or u.index < depth:
+    return open_bound(f.body, (value,))
+
+
+def open_bound(t: Term, values: Sequence[Term], depth: int = 0) -> Term:
+    """values[i] for loose index depth + i of t; the indices past drop.
+
+    An unchanged t comes back as the same object.
+    """
+    n = len(values)
+    if not n:
+        return t
+
+    def leaf(u: Term, d: int) -> Term:
+        if not isinstance(u, Bound) or u.index < d:
             return u
-        if u.index > depth:
-            return Bound(u.index - 1, u.ty)
-        return _shift(value, depth)
-    return map_leaves(f.body, leaf)
+        if u.index >= d + n:
+            return Bound(u.index - n, u.ty)
+        return _shift(values[u.index - d], d)
+    return map_leaves(t, leaf, depth)
 
 
 def _shift(t: Term, by: int) -> Term:
@@ -241,9 +253,13 @@ def _shift(t: Term, by: int) -> Term:
                       if isinstance(u, Bound) and u.index >= depth else u)
 
 
-def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
-    """Return the type of t; free variables must be declared in env."""
-    return _tc(t, env or {})
+def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None,
+              outer: Sequence[SimpleType] = ()) -> SimpleType:
+    """Return the type of t; free variables must be declared in env.
+
+    outer types the binders just outside t, nearest first.
+    """
+    return _tc(t, env or {}, tuple(outer))
 
 
 def infer_type(t: Term) -> SimpleType:
@@ -400,11 +416,12 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 class _TermParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType],
-                 var_types: Mapping[str, SimpleType]):
+                 var_types: Mapping[str, SimpleType],
+                 binders: tuple[tuple[str, SimpleType], ...] = ()):
         super().__init__(text)
         self.sig = signature
         self.frees = var_types
-        self.binders: tuple[tuple[str, SimpleType], ...] = ()  # nearest first
+        self.binders = binders  # names and types, nearest first
         self.failed_sugar: set[tuple] = set()
 
     def term(self) -> Term:
@@ -509,14 +526,15 @@ def parse_term(text: str, signature: Mapping[str, SimpleType],
 
 
 def parse_term_prefix(outer: Scanner, signature: Mapping[str, SimpleType],
-                      var_types: Mapping[str, SimpleType]) -> Term:
+                      binders: tuple[tuple[str, SimpleType], ...]) -> Term:
     """Parse one term at outer's position and move outer past it.
 
     Lets other parsers embed term syntax: the term extends as far as the
     grammar allows and stops at the first character that cannot continue it.
-    It nests from outer's depth on.
+    It nests from outer's depth on. A name bound by outer's binders becomes
+    a loose index past the term's own lambdas.
     """
-    parser = _TermParser(outer.text, signature, var_types)
+    parser = _TermParser(outer.text, signature, {}, binders)
     parser.pos, parser.depth = outer.pos, outer.depth
     term = parser.term()
     outer.pos = parser.pos
