@@ -19,6 +19,7 @@ attached to a concrete node.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -104,6 +105,24 @@ Proj = Union[SemProjectionRef, ProjVar, ProjEigen, ProjMeta, PathRef]
 # ---------------------------------------------------------------------------
 # formulas
 
+def _hash_once(cls):
+    """Keep each node's hash once computed.
+
+    Formulas are hashed again and again as multiset keys, and the generated
+    hash walks the whole formula.
+    """
+    walk = cls.__hash__
+
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = walk(self)
+        return cached
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class GlueAtom:
     proj: Proj
@@ -114,6 +133,7 @@ class GlueAtom:
         return format_glue(self)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Impl:
     left: "Formula"
@@ -123,6 +143,7 @@ class Impl:
         return format_glue(self)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Tensor:
     """A chain of two or more operands; the first is never a tensor."""
@@ -150,6 +171,7 @@ class ProjBinder:
 Binder = Union[MeaningBinder, ProjBinder]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Forall:
     binder: Binder
@@ -166,22 +188,31 @@ Formula = Union[GlueAtom, Impl, Tensor, Forall]
 # structural helpers
 
 def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
-    """Replace every atom a by fn(a), keeping the connectives and binders."""
+    """Replace every atom a by fn(a), keeping the connectives and binders.
+
+    A subformula in which fn replaces nothing comes back as the same object.
+    """
     if isinstance(f, GlueAtom):
         return fn(f)
     if isinstance(f, Impl):
-        return Impl(map_atoms(f.left, fn), map_atoms(f.right, fn))
+        left, right = map_atoms(f.left, fn), map_atoms(f.right, fn)
+        return f if left is f.left and right is f.right else Impl(left, right)
     if isinstance(f, Tensor):
-        return Tensor(tuple(map_atoms(part, fn) for part in f.parts))
+        parts = tuple(map_atoms(part, fn) for part in f.parts)
+        return f if all(map(operator.is_, parts, f.parts)) else Tensor(parts)
     if isinstance(f, Forall):
-        return Forall(f.binder, map_atoms(f.body, fn))
+        body = map_atoms(f.body, fn)
+        return f if body is f.body else Forall(f.binder, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def normalize_meanings(f: Formula) -> Formula:
-    """f with the meaning of every atom normalized."""
-    return map_atoms(f, lambda a: GlueAtom(a.proj, normalize(a.meaning),
-                                           a.result_type))
+    """f with the meaning of every atom normalized; a normal f is kept."""
+    def atom(a: GlueAtom) -> GlueAtom:
+        meaning = normalize(a.meaning)
+        return a if meaning is a.meaning else \
+            GlueAtom(a.proj, meaning, a.result_type)
+    return map_atoms(f, atom)
 
 
 def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:

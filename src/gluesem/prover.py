@@ -531,12 +531,12 @@ def _holes(f: Formula, state: _State) -> tuple[list, list, list, Formula]:
     Returns them with open_formula's two sequences, nearest binder first,
     and the body below.
     """
-    holes = []
+    holes, meanings, projs = [], [], []
     while isinstance(f, Forall):
-        holes.append(_solve_goal_hole(f.binder, state.fresh()))
+        hole = _solve_goal_hole(f.binder, state.fresh())
+        holes.append(hole)
+        (meanings if isinstance(hole, MetaVar) else projs).insert(0, hole)
         f = f.body
-    meanings = [h for h in reversed(holes) if isinstance(h, MetaVar)]
-    projs = [h for h in reversed(holes) if isinstance(h, ProjMeta)]
     return holes, meanings, projs, f
 
 

@@ -237,17 +237,16 @@ def open_bound(t: Term, values: Sequence[Term], depth: int = 0) -> Term:
         return t
 
     def leaf(u: Term, d: int) -> Term:
-        if not isinstance(u, Bound) or u.index < d:
-            return u
-        if u.index >= d + n:
-            return Bound(u.index - n, u.ty)
-        return _shift(values[u.index - d], d)
+        if isinstance(u, Bound) and u.index >= d:
+            i = u.index - d
+            return _shift(values[i], d) if i < n else Bound(u.index - n, u.ty)
+        return u
     return map_leaves(t, leaf, depth)
 
 
 def _shift(t: Term, by: int) -> Term:
     """Add by to every loose index of t, as when t moves under by binders."""
-    if not by:
+    if not by or isinstance(t, (Const, Var, Eigen, MetaVar)):
         return t
     return map_leaves(t, lambda u, depth: Bound(u.index + by, u.ty)
                       if isinstance(u, Bound) and u.index >= depth else u)
