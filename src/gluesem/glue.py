@@ -15,6 +15,13 @@ Projection positions accept a concrete reference ``g.sig`` (facets
 restriction slots), a bound projection variable ``H``, or the template forms
 ``^.sig`` and ``(^ SUBJ).sig`` that lexical entries use before they are
 attached to a concrete node.
+
+Each formula has one shape. A tensor chain is one Tensor of its parts.
+Binders are nameless: a meaning variable is a loose index of the atom terms
+below its quantifier, counting meaning binders and lambdas, and ProjVar's
+index counts projection binders. Names are kept for printing, so
+alpha-equivalent formulas are ==. curry settles every tensor once: tensor
+antecedents become implications, and any other tensor is refused there.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     AtomTypeMismatch,
+    GlueFormulaError,
     GlueSyntaxError,
     OpenVariable,
     TensorInConclusion,
@@ -106,11 +114,7 @@ Proj = Union[SemProjectionRef, ProjVar, ProjEigen, ProjMeta, PathRef]
 # formulas
 
 def _hash_once(cls):
-    """Keep each node's hash once computed.
-
-    Formulas are hashed again and again as multiset keys, and the generated
-    hash walks the whole formula.
-    """
+    """Keep each node's hash: the generated one walks the whole formula."""
     walk = cls.__hash__
 
     def __hash__(self):
@@ -183,6 +187,18 @@ class Forall:
 
 Formula = Union[GlueAtom, Impl, Tensor, Forall]
 
+# The binders around a subformula, nearest first: each meaning binder as the
+# variable its name reads as in term syntax, and the projection binders.
+Scope = tuple[tuple[Var, ...], tuple[ProjBinder, ...]]
+
+
+def _bind(b: Binder, scope: Scope) -> Scope:
+    """The scope under the binder b."""
+    meanings, projs = scope
+    if isinstance(b, MeaningBinder):
+        return (Var(b.name, b.ty),) + meanings, projs
+    return meanings, (b,) + projs
+
 
 # ---------------------------------------------------------------------------
 # structural helpers
@@ -240,12 +256,10 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
 
 def open_formula(f: Formula, meanings: Sequence[Term],
                  projs: Sequence[Proj], m: int = 0, p: int = 0) -> Formula:
-    """Open, in one pass, binders of both kinds outside f's own.
+    """Open, in one pass, binders of both kinds outside f's own m and p.
 
-    meanings[i] replaces the meaning variable of index i, counted from
-    outside f's m meaning binders, and projs does the same for projection
-    variables past p projection binders. An atom with nothing to substitute
-    comes back as the same object.
+    meanings[i] and projs[i] replace the variables of index i of each kind,
+    0 the nearest. An atom with nothing to substitute stays the same object.
     """
     if not meanings and not projs:
         return f
@@ -297,14 +311,12 @@ def check_wellformed(f: Formula, signature: Mapping[str, SimpleType]) -> None:
     enclosing quantifier (constants come from the signature); each atom's
     meaning must typecheck at exactly the atom's declared index.
     """
-    _check(f, signature, (), ())
+    _check(f, signature, ((), ()))
 
 
-def _check(f: Formula, env: Mapping[str, SimpleType],
-           meanings: tuple[SimpleType, ...],
-           projs: tuple[ProjBinder, ...]) -> None:
-    """meanings and projs describe the enclosing binders, nearest first."""
+def _check(f: Formula, env: Mapping[str, SimpleType], scope: Scope) -> None:
     if isinstance(f, GlueAtom):
+        meanings, projs = scope
         if isinstance(f.proj, ProjVar):
             if f.proj.index >= len(projs):
                 raise OpenVariable(f"projection variable {f.proj!r} is not "
@@ -317,7 +329,7 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
                     f"{format_type(f.result_type)}"
                 )
         try:
-            ty = typecheck(f.meaning, env, meanings)
+            ty = typecheck(f.meaning, env, [v.ty for v in meanings])
         except UnboundVariable as exc:
             raise OpenVariable(str(exc)) from None
         if ty != f.result_type:
@@ -327,18 +339,15 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
             )
         return
     if isinstance(f, Impl):
-        _check(f.left, env, meanings, projs)
-        _check(f.right, env, meanings, projs)
+        _check(f.left, env, scope)
+        _check(f.right, env, scope)
         return
     if isinstance(f, Tensor):
         for part in f.parts:
-            _check(part, env, meanings, projs)
+            _check(part, env, scope)
         return
     if isinstance(f, Forall):
-        if isinstance(f.binder, MeaningBinder):
-            _check(f.body, env, (f.binder.ty,) + meanings, projs)
-        else:
-            _check(f.body, env, meanings, (f.binder,) + projs)
+        _check(f.body, env, _bind(f.binder, scope))
         return
     raise TypeError(f"not a formula: {f!r}")
 
@@ -349,37 +358,45 @@ def _check(f: Formula, env: Mapping[str, SimpleType],
 def curry(f: Formula) -> Formula:
     """Rewrite tensor antecedents into nested implications.
 
-    A * B -o C becomes A -o B -o C, recursively and on both sides of every
-    implication. A tensor in conclusion position has no implication form, so
-    it is rejected.
+    A * B -o C becomes A -o B -o C, in any position. No other tensor has an
+    implication form: one in conclusion position raises TensorInConclusion,
+    and one right under a quantifier raises GlueFormulaError. So no tensor
+    is left for the search, the oracle or check_proof.
     """
-    return _curry(f, True)
+    return _curry(f, ((), ()))
 
 
-def _curry(f: Formula, conclusion: bool) -> Formula:
+def _curry(f: Formula, scope: Scope) -> Formula:
+    """scope names the enclosing binders in messages."""
     if isinstance(f, GlueAtom):
         return f
     if isinstance(f, Forall):
-        return Forall(f.binder, _curry(f.body, conclusion))
-    if isinstance(f, Impl):
-        left = _curry(f.left, not conclusion)
-        right = _curry(f.right, conclusion)
-        return _peel(left, right)
-    if isinstance(f, Tensor):
-        if conclusion:
-            raise TensorInConclusion(
-                f"tensor in conclusion position: {format_glue(f)}"
+        if isinstance(f.body, Tensor):
+            raise GlueFormulaError(
+                "a tensor under a quantifier is not supported; restructure "
+                f"the formula: {_fmt(f, 0, scope)}"
             )
-        return Tensor(tuple(_curry(part, conclusion) for part in f.parts))
+        return Forall(f.binder, _curry(f.body, _bind(f.binder, scope)))
+    if isinstance(f, Impl):
+        parts = [_curry(part, scope) for part in operands(f.left)]
+        out = _curry(f.right, scope)
+        for part in reversed(parts):
+            out = Impl(part, out)
+        return out
+    if isinstance(f, Tensor):
+        raise TensorInConclusion(
+            f"tensor in conclusion position: {_fmt(f, 0, scope)}"
+        )
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _peel(antecedent: Formula, conclusion: Formula) -> Formula:
-    if not isinstance(antecedent, Tensor):
-        return Impl(antecedent, conclusion)
-    for part in reversed(antecedent.parts):
-        conclusion = _peel(part, conclusion)
-    return conclusion
+def operands(f: Formula) -> Iterator[Formula]:
+    """The operands of a nest of tensors in order, or f when not a tensor."""
+    if not isinstance(f, Tensor):
+        yield f
+        return
+    for part in f.parts:
+        yield from operands(part)
 
 
 def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
@@ -427,9 +444,7 @@ class _GlueParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType]):
         super().__init__(text)
         self.sig = signature
-        # the enclosing binders, nearest first
-        self.meanings: tuple[tuple[str, SimpleType], ...] = ()
-        self.projs: tuple[ProjBinder, ...] = ()
+        self.scope: Scope = ((), ())
         self.unbound = None  # the first unbound projection variable
 
     def at_word(self, word: str) -> bool:
@@ -449,16 +464,13 @@ class _GlueParser(Scanner):
             self.pos += 1
             binders.append(self.binder())
         self.expect(".")
-        outer = self.meanings, self.projs
+        outer = self.scope
         for b in binders:
-            if isinstance(b, MeaningBinder):
-                self.meanings = ((b.name, b.ty),) + self.meanings
-            else:
-                self.projs = (b,) + self.projs
+            self.scope = _bind(b, self.scope)
         self.deeper()
         body = self.formula()
         self.depth -= 1
-        self.meanings, self.projs = outer
+        self.scope = outer
         for b in reversed(binders):
             body = Forall(b, body)
         return body
@@ -512,15 +524,16 @@ class _GlueParser(Scanner):
     def atom(self) -> GlueAtom:
         proj = self.proj()
         self.expect("~>")
-        meaning = parse_term_prefix(self, self.sig, self.meanings)
+        meanings, projs = self.scope
+        meaning = parse_term_prefix(self, self.sig, meanings)
         result_type = infer_type(meaning)
-        if isinstance(proj, ProjVar) and proj.index < len(self.projs):
-            binder = self.projs[proj.index]
+        if isinstance(proj, ProjVar) and proj.index < len(projs):
+            binder = projs[proj.index]
             if binder.index != result_type:
-                named = open_bound(meaning, [Var(*b) for b in self.meanings])
                 raise AtomTypeMismatch(
                     f"{binder.name} carries {format_type(binder.index)} "
-                    f"resources but {format_term(named)} has type "
+                    "resources but "
+                    f"{format_term(open_bound(meaning, meanings))} has type "
                     f"{format_type(result_type)}"
                 )
         return GlueAtom(proj, meaning, result_type)
@@ -541,12 +554,13 @@ class _GlueParser(Scanner):
         name = self.ident()
         if self.text.startswith(".", self.pos):
             return SemProjectionRef(name, self.facet())
-        for index, binder in enumerate(self.projs):
+        projs = self.scope[1]
+        for index, binder in enumerate(projs):
             if binder.name == name:
                 return ProjVar(index)
         # reported when parsing ends, so a syntax error comes first
         self.unbound = self.unbound or name
-        return ProjVar(len(self.projs))
+        return ProjVar(len(projs))
 
     def facet(self) -> str:
         """Read .sig and an optional facet, .VAR or .RESTR."""
@@ -581,17 +595,17 @@ _PREC_TENSOR = 2
 
 
 def format_glue(f: Formula) -> str:
-    return _fmt(f, 0, (), ())
+    return _fmt(f, 0, ((), ()))
 
 
-def _fmt(f: Formula, min_prec: int, meanings: tuple[Var, ...],
-         projs: tuple[str, ...]) -> str:
-    """meanings and projs name the enclosing binders, nearest first.
+def _fmt(f: Formula, min_prec: int, scope: Scope) -> str:
+    """Render f under the binders in scope.
 
-    An atom's meaning is shown with its bound variables as free ones, which
-    the term printer does not rename.
+    An atom's meaning shows the meaning variables in scope as free ones,
+    whose names the term printer keeps.
     """
     if isinstance(f, GlueAtom):
+        meanings, projs = scope
         return (f"{format_proj(f.proj, projs)} ~> "
                 f"{format_term(open_bound(f.meaning, meanings))}")
     if isinstance(f, Forall):
@@ -599,23 +613,20 @@ def _fmt(f: Formula, min_prec: int, meanings: tuple[Var, ...],
         body: Formula = f
         while isinstance(body, Forall):
             binders.append(body.binder)
-            if isinstance(body.binder, MeaningBinder):
-                meanings = (Var(body.binder.name, body.binder.ty),) + meanings
-            else:
-                projs = (body.binder.name,) + projs
+            scope = _bind(body.binder, scope)
             body = body.body
         rendered = ", ".join(_fmt_binder(b) for b in binders)
-        text = f"forall {rendered}. {_fmt(body, _PREC_FORALL, meanings, projs)}"
+        text = f"forall {rendered}. {_fmt(body, _PREC_FORALL, scope)}"
         return f"({text})" if min_prec > _PREC_FORALL else text
     if isinstance(f, Impl):
-        text = (f"{_fmt(f.left, _PREC_IMPL + 1, meanings, projs)} -o "
-                f"{_fmt(f.right, _PREC_IMPL, meanings, projs)}")
+        text = (f"{_fmt(f.left, _PREC_IMPL + 1, scope)} -o "
+                f"{_fmt(f.right, _PREC_IMPL, scope)}")
         return f"({text})" if min_prec > _PREC_IMPL else text
     if isinstance(f, Tensor):
         first, *rest = f.parts
-        text = " * ".join(
-            [_fmt(first, _PREC_TENSOR, meanings, projs)]
-            + [_fmt(part, _PREC_TENSOR + 1, meanings, projs) for part in rest])
+        text = " * ".join([_fmt(first, _PREC_TENSOR, scope)]
+                          + [_fmt(part, _PREC_TENSOR + 1, scope)
+                             for part in rest])
         return f"({text})" if min_prec > _PREC_TENSOR else text
     raise TypeError(f"not a formula: {f!r}")
 
@@ -629,8 +640,8 @@ def _fmt_binder(b: Binder) -> str:
     return f"{b.name}:{ty_text}"
 
 
-def format_proj(p: Proj, outer: Sequence[str] = ()) -> str:
-    """outer names the enclosing projection binders, nearest first."""
+def format_proj(p: Proj, outer: Sequence[ProjBinder] = ()) -> str:
+    """outer holds the enclosing projection binders, nearest first."""
     if isinstance(p, ProjVar) and p.index < len(outer):
-        return outer[p.index]
+        return outer[p.index].name
     return p.name if isinstance(p, ProjEigen) else repr(p)

@@ -8,8 +8,8 @@ decomposing it to its atomic head and trying every partition of the
 remaining resources at each implication along the way. A hypothesis's
 leading quantifiers open into holes in one substitution pass, and nothing
 is zonked up front: the unifier zonks what it compares. The context never
-holds a bare pair: prepare_premises splits a pair premise in two, and the
-premises and the goal are curried, so no antecedent is a pair either. The
+holds a pair: prepare_premises splits a pair premise in two, the premises
+and the goal are curried, and curry refuses any pair it cannot curry. The
 only sharing with the prover is the term and unification substrate;
 resource bookkeeping here is eager multiset partitioning, so a bug in the
 prover's input-output threading cannot be mirrored on this side.
@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import GlueFormulaError
 from .fstructure import SemProjectionRef
 from .glue import (
     Forall,
     Formula,
     GlueAtom,
     Impl,
-    Tensor,
-    format_glue,
     instantiate,
     open_formula,
 )
@@ -46,7 +43,6 @@ from .prover import (
     _Subst,
     _unify_atoms,
     prepare_premises,
-    zonk_formula,
 )
 from .terms import MetaVar, canonical_key
 
@@ -123,11 +119,6 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
                 yield from _decide(f.right, gamma2, goal, mid,
                                    depth + 1, state)
         return
-    if isinstance(f, Tensor):
-        raise GlueFormulaError(
-            "a pair below an implication is not supported here; "
-            f"restructure the premise: {format_glue(zonk_formula(f, subst))}"
-        )
     if rest:
         return
     out = _unify_atoms(goal, f, subst, state)

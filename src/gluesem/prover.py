@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
-    GlueFormulaError,
     NonPatternUnification,
     NotProvable,
 )
@@ -43,7 +42,6 @@ from .glue import (
     Proj,
     ProjEigen,
     ProjMeta,
-    Tensor,
     curry,
     format_glue,
     format_proj,
@@ -51,6 +49,7 @@ from .glue import (
     map_atoms,
     normalize_meanings,
     open_formula,
+    operands,
 )
 from .lexicon import Premise
 from .terms import (
@@ -203,12 +202,6 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
             return p
         p = bound
     return p
-
-
-def zonk_formula(f: Formula, subst: _Subst) -> Formula:
-    return map_atoms(f, lambda a: GlueAtom(zonk_proj(a.proj, subst),
-                                           zonk_term(a.meaning, subst),
-                                           a.result_type))
 
 
 def _ground_term(t: Term, subst: _Subst) -> Term:
@@ -573,10 +566,6 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
                 child=node
             )
         return
-    if isinstance(goal, Tensor):
-        raise GlueFormulaError(
-            "tensor goals are not searched; curry the goal first"
-        )
     if not isinstance(goal, GlueAtom):
         raise TypeError(f"not a formula: {goal!r}")
     for i in range(len(ctx)):
@@ -600,12 +589,6 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
     while isinstance(f, Impl):
         antecedents.append(f.left)
         f = f.right
-    if isinstance(f, Tensor):
-        f = zonk_formula(open_formula(f, meanings, projs), subst)
-        raise GlueFormulaError(
-            "a tensor under a quantified antecedent is not supported; "
-            f"restructure the premise: {format_glue(f)}"
-        )
     unified = _unify_atoms(goal, open_formula(f, meanings, projs), subst,
                            state)
     if unified is None:
@@ -682,28 +665,19 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
 # ---------------------------------------------------------------------------
 # public interface
 
-def _split_top(f: Formula) -> Iterator[Formula]:
-    """The operands of a top-level tensor nest in order."""
-    if not isinstance(f, Tensor):
-        yield f
-        return
-    for part in f.parts:
-        yield from _split_top(part)
-
-
 def prepare_premises(premises: Sequence[Union[Premise, Formula]]) \
         -> list[Formula]:
     """Split and curry the premises the way the search consumes them.
 
     A bare tensor premise is two resources, so it is split before currying;
-    tensors in antecedent positions are curried away. No context entry is
-    then a bare tensor, so the search has no tensor-left rule; a tensor left
-    under a quantifier is refused when the search reaches it.
+    tensors in antecedent positions are curried away and curry refuses any
+    other. No formula the search sees holds a tensor, so it has no tensor
+    rule.
     """
     out = []
     for p in premises:
         f = p.formula if isinstance(p, Premise) else p
-        out.extend(curry(part) for part in _split_top(f))
+        out.extend(curry(part) for part in operands(f))
     return out
 
 

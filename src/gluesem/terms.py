@@ -416,11 +416,11 @@ def alpha_equal(a: Term, b: Term) -> bool:
 class _TermParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType],
                  var_types: Mapping[str, SimpleType],
-                 binders: tuple[tuple[str, SimpleType], ...] = ()):
+                 binders: tuple[Var, ...] = ()):
         super().__init__(text)
         self.sig = signature
         self.frees = var_types
-        self.binders = binders  # names and types, nearest first
+        self.binders = binders  # the variables they bind, nearest first
         self.failed_sugar: set[tuple] = set()
 
     def term(self) -> Term:
@@ -432,7 +432,7 @@ class _TermParser(Scanner):
         ty = self.type()
         self.expect(".")
         outer = self.binders
-        self.binders = ((name, ty),) + outer
+        self.binders = (Var(name, ty),) + outer
         self.deeper()
         body = self.term()
         self.depth -= 1
@@ -464,9 +464,9 @@ class _TermParser(Scanner):
             self.depth -= 1
             return Up(t) if ch == "^" else Down(t)
         name = self.ident()
-        for index, (bound, ty) in enumerate(self.binders):
-            if bound == name:
-                return Bound(index, ty)
+        for index, bound in enumerate(self.binders):
+            if bound.name == name:
+                return Bound(index, bound.ty)
         if name in self.frees:
             return Var(name, self.frees[name])
         if name in self.sig:
@@ -493,7 +493,7 @@ class _TermParser(Scanner):
         # which resolve fewer names, unless a binder that hid a determiner
         # is gone. Remembering failures keeps backtracking polynomial.
         key = self.pos, tuple(b for b in self.binders
-                              if self.sig.get(b[0]) == QUANTIFIER_TYPE)
+                              if self.sig.get(b.name) == QUANTIFIER_TYPE)
         if key in self.failed_sugar:
             return None
         saved = self.pos, self.depth
@@ -501,7 +501,7 @@ class _TermParser(Scanner):
         try:
             name = self.ident()
             self.expect(",")
-            self.binders = ((name, E),) + outer
+            self.binders = (Var(name, E),) + outer
             restriction = self.term()
             self.expect(",")
             scope = self.term()
@@ -525,7 +525,7 @@ def parse_term(text: str, signature: Mapping[str, SimpleType],
 
 
 def parse_term_prefix(outer: Scanner, signature: Mapping[str, SimpleType],
-                      binders: tuple[tuple[str, SimpleType], ...]) -> Term:
+                      binders: tuple[Var, ...]) -> Term:
     """Parse one term at outer's position and move outer past it.
 
     Lets other parsers embed term syntax: the term extends as far as the

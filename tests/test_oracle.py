@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from gluesem import oracle
+from gluesem.cli import main
+from gluesem.errors import GlueFormulaError
 from gluesem.glue import Forall, parse_glue
-from gluesem.lexicon import load_scenario, premises
+from gluesem.lexicon import load_scenario, parse_lexicon, parse_scenario, premises
 from gluesem.oracle import oracle_enumerate
 from gluesem.prover import SearchStats, derive_readings
 from gluesem.terms import canonical_key, format_term
@@ -106,12 +108,8 @@ def test_a_hypothesis_opens_in_one_pass_and_is_never_zonked(corpus,
         counts["opened"] += 1
         return real_open(*args)
 
-    def zonking(*args):
-        raise AssertionError("zonk_formula called without an error")
-
     monkeypatch.setattr(oracle, "_decide", deciding)
     monkeypatch.setattr(oracle, "open_formula", opening)
-    monkeypatch.setattr(oracle, "zonk_formula", zonking)
     scenario, prems = corpus["conversation"]
     assert len(oracle_enumerate(prems, scenario.goal)) == 5
     assert counts["opened"] == counts["quantified"] > 0
@@ -142,6 +140,46 @@ def test_depth_limit_is_hit_one_step_short(corpus):
         assert stats.limit_hit, name
         if name != "conversation":
             assert short == [], name
+
+
+def test_run_oracle_below_the_depth_needed_reports_the_limit(corpus_dir,
+                                                             capsys):
+    # the oracle needs more depth than the search; running out of it is a
+    # depth-limited run, not a disagreement
+    for name, needed in DEPTH_NEEDED.items():
+        path = str(corpus_dir / name / "scenario.txt")
+        for depth in range(needed):
+            code = main(["run", path, "--oracle", "--max-depth", str(depth)])
+            out = capsys.readouterr().out
+            assert code != 1, (name, depth)
+            assert "(depth limit hit)" in out, (name, depth)
+
+
+PAIR_UNDER_FORALL = """entry leave-a-pair
+PRED = leave
+const leave : e -> t
+const Bill : e
+glue (forall X:e. ^.sig ~> X * ^.sig ~> X) -o ^.sig ~> leave(Bill)
+"""
+
+
+def test_a_tensor_under_a_quantified_antecedent_is_refused(tmp_path, capsys):
+    lexicon = parse_lexicon(PAIR_UNDER_FORALL)
+    scenario = parse_scenario("scenario pair\nfstructure f:[PRED 'leave']\n"
+                              "attach leave-a-pair -> f\ngoal f\n")
+    prems = premises(scenario, lexicon)
+    with pytest.raises(GlueFormulaError, match="tensor under a quantifier"):
+        oracle_enumerate(prems, scenario.goal)
+    (tmp_path / "lexicon.glue").write_text(PAIR_UNDER_FORALL,
+                                           encoding="utf-8")
+    path = tmp_path / "scenario.txt"
+    path.write_text("scenario pair\nlexicon lexicon.glue\n"
+                    "fstructure f:[PRED 'leave']\n"
+                    "attach leave-a-pair -> f\ngoal f\n", encoding="utf-8")
+    assert main(["run", str(path), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: a tensor under a quantifier")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_conversation_readings_appear_with_depth(corpus):

@@ -14,7 +14,14 @@ from gluesem.errors import (
     NonPatternUnification,
     NotProvable,
 )
-from gluesem.glue import MeaningBinder, Tensor, atoms, format_glue, parse_glue
+from gluesem.glue import (
+    MeaningBinder,
+    Tensor,
+    atoms,
+    curry,
+    format_glue,
+    parse_glue,
+)
 from gluesem.lexicon import load_scenario, parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
 from gluesem.oracle import oracle_enumerate
@@ -370,7 +377,7 @@ def test_quantified_tensor_hypothesis_is_refused():
         "(forall X:e. g.sig ~> X * h.sig ~> X) -o f.sig ~> leave(Bill)",
         PAIR_SIG,
     )
-    with pytest.raises(GlueFormulaError, match="quantified antecedent"):
+    with pytest.raises(GlueFormulaError, match="tensor under a quantifier"):
         prove((), goal)
 
 
@@ -379,8 +386,26 @@ def test_quantified_tensor_subgoal_is_refused():
         "(forall X:e. g.sig ~> X * h.sig ~> X) -o f.sig ~> leave(Bill)",
         PAIR_SIG,
     )
-    with pytest.raises(GlueFormulaError, match="tensor goals"):
+    with pytest.raises(GlueFormulaError, match="tensor under a quantifier"):
         prove([premise], "f")
+
+
+def test_a_tensor_antecedent_of_an_antecedent_is_curried():
+    # the premise consumes a function of a pair; curried, that is a
+    # function of its two halves in turn
+    k_of_pair = ("((g.sig ~> Bill * h.sig ~> Bill) -o f.sig ~> leave(Bill))"
+                 " -o k.sig ~> leave(Bill)")
+    by_hand = ("(g.sig ~> Bill -o h.sig ~> Bill -o f.sig ~> leave(Bill))"
+               " -o k.sig ~> leave(Bill)")
+    both = "forall X:e. g.sig ~> X -o h.sig ~> X -o f.sig ~> leave(X)"
+    curried = [parse_glue(k_of_pair, PAIR_SIG), parse_glue(both, PAIR_SIG)]
+    assert curried[0] != parse_glue(by_hand, PAIR_SIG)
+    assert curry(curried[0]) == parse_glue(by_hand, PAIR_SIG)
+    [reading] = derive_readings(curried, "k")
+    assert format_term(reading.meaning) == "leave(Bill)"
+    check_proof(reading.proof, None, curried, "k")
+    [hand] = derive_readings([parse_glue(by_hand, PAIR_SIG), curried[1]], "k")
+    assert hand.meaning == reading.meaning
 
 
 # ---------------------------------------------------------------------------
