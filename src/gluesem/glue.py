@@ -280,9 +280,11 @@ def open_formula(f: Formula, meanings: Sequence[Term],
         return Tensor(tuple(open_formula(part, meanings, projs, m, p)
                             for part in f.parts))
     if isinstance(f, Forall):
-        meaning = isinstance(f.binder, MeaningBinder)
-        return Forall(f.binder, open_formula(f.body, meanings, projs,
-                                             m + meaning, p + (not meaning)))
+        if isinstance(f.binder, MeaningBinder):
+            m += 1
+        else:
+            p += 1
+        return Forall(f.binder, open_formula(f.body, meanings, projs, m, p))
     raise TypeError(f"not a formula: {f!r}")
 
 

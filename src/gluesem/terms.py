@@ -228,9 +228,10 @@ def open_lam(f: Lam, value: Term) -> Term:
 
 
 def open_bound(t: Term, values: Sequence[Term], depth: int = 0) -> Term:
-    """values[i] for loose index depth + i of t; the indices past drop.
+    """t with values[i] in place of its loose index depth + i.
 
-    An unchanged t comes back as the same object.
+    Loose indices past the values drop by their number. An unchanged t
+    comes back as the same object.
     """
     n = len(values)
     if not n:
@@ -420,7 +421,8 @@ class _TermParser(Scanner):
         super().__init__(text)
         self.sig = signature
         self.frees = var_types
-        self.binders = binders  # the variables they bind, nearest first
+        # the enclosing binders as the variables they bind, nearest first
+        self.binders = binders
         self.failed_sugar: set[tuple] = set()
 
     def term(self) -> Term:
