@@ -113,6 +113,7 @@ Proj = Union[SemProjectionRef, ProjVar, ProjEigen, ProjMeta, PathRef]
 # ---------------------------------------------------------------------------
 # formulas
 
+# a kept hash holds within one process; formulas are never pickled
 def _hash_once(cls):
     """Keep each node's hash: the generated one walks the whole formula."""
     walk = cls.__hash__
