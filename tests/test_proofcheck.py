@@ -1,13 +1,20 @@
 """The derivation validator must accept search output and reject forgeries."""
 
 import dataclasses
+import re
 
 import pytest
 
 from gluesem.errors import InvalidStep
 from gluesem.glue import GlueAtom, parse_glue
 from gluesem.proofcheck import check_proof
-from gluesem.prover import Proof, Sequent, derive_readings, prove_theorem
+from gluesem.prover import (
+    Proof,
+    Sequent,
+    derive_readings,
+    prove,
+    prove_theorem,
+)
 from gluesem.terms import Const, Eigen
 from gluesem.types import E, parse_type
 
@@ -172,3 +179,145 @@ def test_error_reports_the_failing_path(corpus):
     with pytest.raises(InvalidStep) as exc_info:
         check_proof(forged)
     assert exc_info.value.path == (0,)
+
+
+# ---------------------------------------------------------------------------
+# every rule reason, each from one forgery
+#
+# Each forgery edits one genuine proof: `b` proves bill-left by forall_left
+# over impl_left over two axioms; `t` proves the theorem
+# forall Z:e. g.sig ~> Z -o g.sig ~> Z by forall_right over impl_right over
+# an axiom. The forged node is the root of what is checked, so every reason
+# is reported at the root path.
+
+
+def _with(p, context=None, goal=None, **fields):
+    sequent = dataclasses.replace(
+        p.sequent,
+        context=p.sequent.context if context is None else context,
+        goal=p.sequent.goal if goal is None else goal,
+    )
+    return dataclasses.replace(p, sequent=sequent, **fields)
+
+
+def _child(p, i, child):
+    children = list(p.children)
+    children[i] = child
+    return dataclasses.replace(p, children=tuple(children))
+
+
+BILL_AT_F = parse_glue("f.sig ~> Bill", SIG)
+BILL_AS_T = GlueAtom(BILL.proj, BILL.meaning, parse_type("t"))
+AL = Const("Al", E)
+
+FORGERIES = [
+    ("unknown rule 'cut'", lambda b, t: _with(b, rule="cut")),
+    ("axiom expects 0 subproofs, found 1",
+     lambda b, t: _with(b.children[0].children[0],
+                        children=(b.children[0].children[1],))),
+    ("impl_left expects 2 subproofs, found 1",
+     lambda b, t: _with(b.children[0], children=b.children[0].children[:1])),
+    ("axiom goal is not atomic",
+     lambda b, t: Proof("axiom", Sequent((BILL,), LEAVE_AT_BILL))),
+    ("axiom must consume exactly one resource",
+     lambda b, t: Proof("axiom", Sequent((BILL, BILL), BILL))),
+    ("axiom hypothesis is not atomic",
+     lambda b, t: Proof("axiom", Sequent((LEAVE_AT_BILL,), BILL))),
+    ("axiom connects different projections",
+     lambda b, t: Proof("axiom", Sequent((BILL,), BILL_AT_F))),
+    ("axiom connects resources of different indices",
+     lambda b, t: Proof("axiom", Sequent((BILL,), BILL_AS_T))),
+    ("axiom meanings differ",
+     lambda b, t: Proof("axiom", Sequent(
+         (BILL,), GlueAtom(BILL.proj, AL, E)))),
+    ("impl_right goal is not an implication",
+     lambda b, t: _with(t.children[0],
+                        goal=t.children[0].sequent.goal.right)),
+    ("subproof does not conclude the consequent",
+     lambda b, t: _child(t.children[0], 0, b.children[0].children[0])),
+    ("subproof context is not the context plus the antecedent",
+     lambda b, t: _child(t.children[0], 0,
+                         _with(t.children[0].children[0], context=()))),
+    ("forall_right goal is not quantified",
+     lambda b, t: _with(t, goal=t.children[0].sequent.goal)),
+    ("forall_right records no eigenvariable",
+     lambda b, t: _with(t, eigen=None)),
+    (r"eigenvariable .* already occurs in context",
+     lambda b, t: _with(t, context=(GlueAtom(BILL.proj, t.eigen, E),))),
+    (r"eigenvariable .* already occurs in the goal",
+     lambda b, t: _with(t, goal=dataclasses.replace(
+         t.sequent.goal, body=t.children[0].sequent.goal))),
+    ("eigenvariable does not fit the binder: .*",
+     lambda b, t: _with(t, eigen=dataclasses.replace(
+         t.eigen, ty=parse_type("t")))),
+    ("subproof goal is not the opened quantifier body",
+     lambda b, t: _with(t, eigen=dataclasses.replace(
+         t.eigen, uid=t.eigen.uid + 1000))),
+    ("forall_right may not change the context",
+     lambda b, t: _child(t, 0, _with(t.children[0], context=(BILL,)))),
+    ("forall_left records no instantiation",
+     lambda b, t: _with(b, instantiation=None)),
+    ("forall_left may not change the goal",
+     lambda b, t: _child(b, 0, _with(b.children[0], goal=BILL))),
+    ("no quantified hypothesis opens to the subproof context",
+     lambda b, t: _with(b, instantiation=AL)),
+    ("instantiation does not fit the binder: .*",
+     lambda b, t: _with(b, instantiation=Const("leave", parse_type("e -> t")))),
+    ("impl_left right subproof proves a different goal",
+     lambda b, t: _child(b.children[0], 1, b.children[0].children[0])),
+    ("subproofs do not split the context around an implication",
+     lambda b, t: _with(b.children[0],
+                        context=(BILL,) + b.children[0].sequent.context)),
+]
+
+
+@pytest.mark.parametrize(
+    "reason,forge", FORGERIES, ids=[reason for reason, _ in FORGERIES])
+def test_each_rule_reason_is_reported(corpus, reason, forge):
+    scenario, prems = corpus["bill-left"]
+    [reading] = derive_readings(prems, scenario.goal)
+    theorem = parse_glue("forall Z:e. g.sig ~> Z -o g.sig ~> Z", SIG)
+    forged = forge(reading.proof, prove_theorem(theorem))
+    with pytest.raises(InvalidStep) as exc_info:
+        check_proof(forged)
+    assert re.fullmatch(reason, exc_info.value.reason)
+    assert exc_info.value.path == ()
+
+
+def test_a_root_context_may_hold_a_formula_twice():
+    premises = [BILL, BILL, parse_glue(
+        "forall X:e, Y:e. g.sig ~> X -o g.sig ~> Y -o f.sig ~> meet(X, Y)",
+        SIG)]
+    proofs = prove(premises, "f")
+    assert len(proofs) == 2  # the two Bill resources fill X and Y both ways
+    assert len(derive_readings(premises, "f")) == 1
+    for proof in proofs:
+        check_proof(proof, premises=premises, goal="f")
+
+
+# Forgeries that pass every check of their rule but one part of its context
+# delta. Each is named by what it gets wrong.
+DELTA_FORGERIES = {
+    "impl_left consequent in the left subproof": (
+        "subproofs do not split the context around an implication",
+        lambda b, t: _with(b.children[0], children=(
+            Proof("axiom", Sequent((BILL, LEAVE_AT_BILL.right), BILL)),
+            Proof("axiom", Sequent((), LEAVE_AT_BILL.right)),
+        ))),
+    "impl_left left goal is not the antecedent": (
+        "subproofs do not split the context around an implication",
+        lambda b, t: _child(b.children[0], 0, _with(
+            b.children[0].children[0], goal=BILL_AT_F))),
+    "impl_right drops a resource": (
+        "subproof context is not the context plus the antecedent",
+        lambda b, t: _with(t.children[0], context=(BILL,))),
+    "forall_right drops a resource": (
+        "forall_right may not change the context",
+        lambda b, t: _with(t, context=(BILL,))),
+}
+
+
+@pytest.mark.parametrize("case", DELTA_FORGERIES)
+def test_each_part_of_a_context_delta_is_checked(corpus, case):
+    reason, forge = DELTA_FORGERIES[case]
+    test_each_rule_reason_is_reported(corpus, reason, forge)

@@ -240,6 +240,28 @@ def test_nonpattern_unification_is_reported():
         derive_readings(premises, "f")
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP 1a/6: non-pattern branch dropped silently")
+def test_a_nonpattern_branch_keeps_its_reading():
+    # giving P the hole Q and R the meaning leave needs ?Q(Bill) =
+    # leave(Bill), which is not a pattern; that branch's reading is lost
+    sig = {
+        "leave": parse_type("e -> t"),
+        "Bill": parse_type("e"),
+        "and": parse_type("t -> t -> t"),
+    }
+    premises = [parse_glue(text, sig) for text in (
+        "k.sig ~> leave",
+        "forall Q:e -> t. k.sig ~> Q",
+        "h.sig ~> leave(Bill)",
+        "forall P:e -> t, R:e -> t. k.sig ~> P -o k.sig ~> R -o "
+        "h.sig ~> P(Bill) -o g.sig ~> and(P(Bill), R(Bill))",
+    )]
+    readings = derive_readings(premises, "g")
+    assert "and(leave(Bill), leave(Bill))" in {
+        format_term(r.meaning) for r in readings}
+
+
 def _agreed_reading(premises):
     """The one reading, after checking its proof and the oracle's answer."""
     readings = derive_readings(premises, "f")
