@@ -10,6 +10,13 @@ a stated root is prepared as the search prepares it: a pair premise counts
 as its two halves and tensor antecedents, in the premises and in the goal,
 are curried into nested implications. Nothing here shares state with the
 search; only the formula and term layers are reused.
+
+Each sequent's context is counted once, as a multiset of meaning-normalized
+formulas. A rule is checked by its delta: what the parent holds that its
+subproofs together lack (dropped), and what they hold that it lacks (added).
+impl_right adds its antecedent; forall_right changes nothing; forall_left
+drops one quantified formula and adds its instance; impl_left drops one
+implication and adds its consequent to the right subproof.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .glue import (
 )
 from .lexicon import Premise
 from .prover import Proof, Sequent, prepare_premises
-from .terms import Eigen, MetaVar, _collect, alpha_equal, normalize
+from .terms import Eigen, MetaVar, _collect, normalize
 from .types import T
 
 
@@ -70,15 +77,12 @@ def check_proof(proof: Proof,
         goal = GlueAtom(goal, MetaVar("R", 0, T, 0), T)
     elif goal is not None:
         goal = curry(goal)  # the search proves the curried goal
-    if premises is not None:
-        expected = _multiset(prepare_premises(premises))
-        if _multiset(proof.sequent.context) != expected:
-            raise InvalidStep(
-                (), "root context differs from the stated premises"
-            )
+    ms = _multiset(proof.sequent.context)
+    if premises is not None and ms != _multiset(prepare_premises(premises)):
+        raise InvalidStep((), "root context differs from the stated premises")
     if goal is not None and not _goal_matches(goal, proof.sequent.goal):
         raise InvalidStep((), "root goal differs from the stated goal")
-    _check_node(proof, ())
+    _check_node(proof, (), ms)
 
 
 def _goal_matches(stated: Formula, actual: Formula) -> bool:
@@ -93,13 +97,15 @@ def _fail(path: tuple[int, ...], reason: str):
     raise InvalidStep(path, reason)
 
 
-def _check_node(p: Proof, path: tuple[int, ...]) -> None:
+def _check_node(p: Proof, path: tuple[int, ...], ms: Counter) -> None:
     checker = _RULES.get(p.rule)
     if checker is None:
         _fail(path, f"unknown rule {p.rule!r}")
-    checker(p, path)
-    for i, child in enumerate(p.children):
-        _check_node(child, path + (i,))
+    kids = [_multiset(c.sequent.context) for c in p.children]
+    below = sum(kids, Counter())
+    checker(p, path, kids, ms - below, below - ms)
+    for i, (child, child_ms) in enumerate(zip(p.children, kids)):
+        _check_node(child, path + (i,), child_ms)
 
 
 def _expect_children(p: Proof, path, n: int) -> None:
@@ -107,7 +113,13 @@ def _expect_children(p: Proof, path, n: int) -> None:
         _fail(path, f"{p.rule} expects {n} subproofs, found {len(p.children)}")
 
 
-def _check_axiom(p: Proof, path) -> None:
+def _one(ms: Counter) -> Optional[Formula]:
+    """The formula ms holds, when it holds exactly one."""
+    held = list(ms.elements())
+    return held[0] if len(held) == 1 else None
+
+
+def _check_axiom(p: Proof, path, kids, dropped, added) -> None:
     _expect_children(p, path, 0)
     ctx = p.sequent.context
     goal = p.sequent.goal
@@ -122,25 +134,22 @@ def _check_axiom(p: Proof, path) -> None:
         _fail(path, "axiom connects different projections")
     if hyp.result_type != goal.result_type:
         _fail(path, "axiom connects resources of different indices")
-    if not alpha_equal(normalize(hyp.meaning), normalize(goal.meaning)):
+    if normalize(hyp.meaning) != normalize(goal.meaning):
         _fail(path, "axiom meanings differ")
 
 
-def _check_impl_right(p: Proof, path) -> None:
+def _check_impl_right(p: Proof, path, kids, dropped, added) -> None:
     _expect_children(p, path, 1)
     goal = p.sequent.goal
     if not isinstance(goal, Impl):
         _fail(path, "impl_right goal is not an implication")
-    child = p.children[0]
-    if _key(child.sequent.goal) != _key(goal.right):
+    if _key(p.children[0].sequent.goal) != _key(goal.right):
         _fail(path, "subproof does not conclude the consequent")
-    want = _multiset(p.sequent.context)
-    want[_key(goal.left)] += 1
-    if _multiset(child.sequent.context) != want:
+    if dropped or added != Counter([_key(goal.left)]):
         _fail(path, "subproof context is not the context plus the antecedent")
 
 
-def _check_forall_right(p: Proof, path) -> None:
+def _check_forall_right(p: Proof, path, kids, dropped, added) -> None:
     _expect_children(p, path, 1)
     goal = p.sequent.goal
     if not isinstance(goal, Forall):
@@ -157,58 +166,41 @@ def _check_forall_right(p: Proof, path) -> None:
         opened = instantiate(goal, eigen)
     except Exception as exc:
         _fail(path, f"eigenvariable does not fit the binder: {exc}")
-    child = p.children[0]
-    if _key(child.sequent.goal) != _key(opened):
+    if _key(p.children[0].sequent.goal) != _key(opened):
         _fail(path, "subproof goal is not the opened quantifier body")
-    if _multiset(child.sequent.context) != _multiset(p.sequent.context):
+    if dropped or added:
         _fail(path, "forall_right may not change the context")
 
 
-def _check_forall_left(p: Proof, path) -> None:
+def _check_forall_left(p: Proof, path, kids, dropped, added) -> None:
     _expect_children(p, path, 1)
     if p.instantiation is None:
         _fail(path, "forall_left records no instantiation")
-    child = p.children[0]
-    parent_ms = _multiset(p.sequent.context)
-    child_ms = _multiset(child.sequent.context)
-    if _key(child.sequent.goal) != _key(p.sequent.goal):
+    if _key(p.children[0].sequent.goal) != _key(p.sequent.goal):
         _fail(path, "forall_left may not change the goal")
-    problem = "no quantified hypothesis opens to the subproof context"
-    for f in p.sequent.context:
-        if not isinstance(f, Forall):
-            continue
-        try:
-            opened = instantiate(f, p.instantiation)
-        except Exception as exc:
-            problem = f"instantiation does not fit the binder: {exc}"
-            continue
-        removed = parent_ms - Counter([_key(f)])
-        added = removed + Counter([_key(opened)])
-        if added == child_ms:
-            return
-    _fail(path, problem)
+    # the hypothesis that was opened is the one formula the child lacks
+    f = _one(dropped)
+    if not isinstance(f, Forall):
+        _fail(path, "no quantified hypothesis opens to the subproof context")
+    try:
+        opened = instantiate(f, p.instantiation)
+    except Exception as exc:
+        _fail(path, f"instantiation does not fit the binder: {exc}")
+    if added != Counter([_key(opened)]):
+        _fail(path, "no quantified hypothesis opens to the subproof context")
 
 
-def _check_impl_left(p: Proof, path) -> None:
+def _check_impl_left(p: Proof, path, kids, dropped, added) -> None:
     _expect_children(p, path, 2)
     left, right = p.children
     if _key(right.sequent.goal) != _key(p.sequent.goal):
         _fail(path, "impl_left right subproof proves a different goal")
-    parent_ms = _multiset(p.sequent.context)
-    left_ms = _multiset(left.sequent.context)
-    right_ms = _multiset(right.sequent.context)
-    for f in p.sequent.context:
-        if not isinstance(f, Impl):
-            continue
-        if _key(left.sequent.goal) != _key(f.left):
-            continue
-        want = left_ms + right_ms - Counter([_key(f.right)]) \
-            + Counter([_key(f)])
-        if Counter([_key(f.right)]) - right_ms:
-            continue  # the consequent must land in the right subproof
-        if want == parent_ms:
-            return
-    _fail(path, "subproofs do not split the context around an implication")
+    # A -o B is not B, so the subproofs split the context around A -o B
+    # exactly when the signed difference is A -o B against B
+    f = _one(dropped)
+    if not (isinstance(f, Impl) and added == Counter([f.right])
+            and kids[1][f.right] and _key(left.sequent.goal) == f.left):
+        _fail(path, "subproofs do not split the context around an implication")
 
 
 _RULES = {
