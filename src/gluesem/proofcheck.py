@@ -180,14 +180,14 @@ def _check_forall_left(p: Proof, path, kids, dropped, added) -> None:
         _fail(path, "forall_left may not change the goal")
     # the hypothesis that was opened is the one formula the child lacks
     f = _one(dropped)
-    if not isinstance(f, Forall):
-        _fail(path, "no quantified hypothesis opens to the subproof context")
-    try:
-        opened = instantiate(f, p.instantiation)
-    except Exception as exc:
-        _fail(path, f"instantiation does not fit the binder: {exc}")
-    if added != Counter([_key(opened)]):
-        _fail(path, "no quantified hypothesis opens to the subproof context")
+    if isinstance(f, Forall):
+        try:
+            opened = instantiate(f, p.instantiation)
+        except Exception as exc:
+            _fail(path, f"instantiation does not fit the binder: {exc}")
+        if added == Counter([_key(opened)]):
+            return
+    _fail(path, "no quantified hypothesis opens to the subproof context")
 
 
 def _check_impl_left(p: Proof, path, kids, dropped, added) -> None:

@@ -36,6 +36,7 @@ def _exported(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
     unused = {name: line for name, line in _imported(tree).items()
-              if name not in used and name not in _exported(tree)}
+              if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
