@@ -16,6 +16,7 @@ from gluesem.errors import (
 )
 from gluesem.glue import (
     MeaningBinder,
+    ProjMeta,
     Tensor,
     atoms,
     curry,
@@ -35,6 +36,7 @@ from gluesem.prover import (
     _goal_eigen,
     _unify,
     _unify_meaning,
+    _unify_proj,
     derive_readings,
     format_proof,
     prepare_premises,
@@ -45,7 +47,11 @@ from gluesem.prover import (
 )
 from gluesem.terms import (
     App,
+    Bound,
     Const,
+    Down,
+    Eigen,
+    Lam,
     MetaVar,
     Var,
     format_term,
@@ -329,6 +335,78 @@ def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
 def test_variables_that_differ_only_in_type_do_not_unify():
     state = _State(SearchLimits(), SearchStats())
     assert _unify(Var("X", E), Var("X", T), _Subst(), state) is None
+
+
+# edge cases of the pattern fragment: each unifies two sides under a fresh
+# state, and the reason it records is the first non-pattern one, if any
+ET, EET = parse_type("e -> t"), parse_type("e -> e -> t")
+_X, _Y, _Z = Eigen("x", 2, E), Eigen("y", 3, E), Eigen("z", 4, E)
+_M = MetaVar("M", 1, ET, 1)
+_N = MetaVar("N", 1, EET, 1)
+_OLDER, _NEWER = ProjMeta("G", 3, 3, T), ProjMeta("H", 5, 5, T)
+
+
+def _meanings(lhs, rhs):
+    return lambda subst, state: _unify_meaning(lhs, rhs, subst, state)
+
+
+def _projs(a, b):
+    return lambda subst, state: _unify_proj(a, b, subst)
+
+
+def _pruned(out, subst):
+    # N keeps its first argument, where both sides agree, and drops the other
+    solution = out.meanings[_N.uid]
+    [fresh] = free_meta_vars(solution)
+    return fresh.ty == ET and fresh.level == _N.level and \
+        solution == Lam(E, Lam(E, App(fresh, Bound(1, E))))
+
+
+UNIFY_CASES = {
+    "occurs-check": (
+        _meanings(App(_M, _X), App(Const("k", parse_type("t -> t")),
+                                   App(_M, _X))),
+        lambda out, subst: out is None, None),
+    "older-eigenvariable": (
+        _meanings(App(MetaVar("M", 20, ET, 20), Eigen("x", 10, E)),
+                  App(Const("leave", ET), Eigen("x", 10, E))),
+        lambda out, subst: out is None,
+        "metavariable applied to an older eigenvariable"),
+    "repeated-eigenvariable": (
+        _meanings(App(App(_N, _X), _X),
+                  App(App(Const("g", EET), _X), _X)),
+        lambda out, subst: out is None,
+        "metavariable applied to a repeated eigenvariable"),
+    "hole-under-rigid-head": (
+        _meanings(App(Down(MetaVar("P", 1, parse_type("s -> e -> t"), 1)),
+                      _X),
+                  App(Const("f", ET), _X)),
+        lambda out, subst: out is None,
+        "application head mixes a hole with rigid structure"),
+    "same-hole-prunes": (
+        _meanings(App(App(_N, _X), _Y), App(App(_N, _X), _Z)),
+        _pruned, None),
+    "identical-sides": (
+        _meanings(App(App(_N, _X), _Y), App(App(_N, _X), _Y)),
+        lambda out, subst: out is subst, None),
+    "projection-holes-newer-first": (
+        _projs(_NEWER, _OLDER),
+        lambda out, subst: out.projs == {_NEWER.uid: _OLDER}, None),
+    "projection-holes-older-first": (
+        _projs(_OLDER, _NEWER),
+        lambda out, subst: out.projs == {_NEWER.uid: _OLDER}, None),
+    "projection-holes-other-index": (
+        _projs(_NEWER, ProjMeta("G", 3, 3, E)),
+        lambda out, subst: out is None, None),
+}
+
+
+@pytest.mark.parametrize("case", UNIFY_CASES)
+def test_unifier_edge_cases(case):
+    unify, expected, reason = UNIFY_CASES[case]
+    subst, state = _Subst(), _State(SearchLimits(), SearchStats())
+    assert expected(unify(subst, state), subst)
+    assert state.stats.nonpattern == reason
 
 
 # ---------------------------------------------------------------------------
