@@ -40,3 +40,36 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_helper_is_referenced():
+    # a private module-level name that no source module reads is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = {f"{name}:{line}": helper
+            for name, tree in trees.items()
+            for helper, line in _private_definitions(tree).items()
+            if helper not in read}
+    assert not dead, f"unreferenced private names {dead}"

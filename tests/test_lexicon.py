@@ -4,14 +4,25 @@ import pytest
 
 from gluesem.errors import LexiconError, MissingAttribute, PredMismatch
 from gluesem.fstructure import parse_fstructure
-from gluesem.glue import Tensor, alpha_equal_formulas, parse_glue
+from gluesem.glue import (
+    GlueAtom,
+    Impl,
+    PathRef,
+    Tensor,
+    alpha_equal_formulas,
+    parse_glue,
+)
 from gluesem.lexicon import (
+    LexicalEntry,
+    Lexicon,
     instantiate,
     load_scenario,
     parse_lexicon,
     parse_scenario,
     premises,
 )
+from gluesem.terms import Const
+from gluesem.types import E
 
 # what each corpus entry should contribute once anchored at its node,
 # written out in full
@@ -149,6 +160,23 @@ def test_a_3000_part_tensor_entry_instantiates():
     [premise] = premises(WIDE_SCENARIO, lexicon)
     part = parse_glue("f.sig ~> Bill", lexicon.signature)
     assert premise.formula == Tensor((part,) * 3000)
+
+
+def test_a_template_too_deep_to_instantiate_is_a_lexicon_error():
+    # parsed text cannot nest this deep (MAX_NESTING caps it), but a
+    # template built in Python can; instantiation walks its 3,000 nested
+    # implications recursively, and premises reports the RecursionError as a
+    # LexiconError
+    atom = GlueAtom(PathRef(()), Const("Bill", E), E)
+    deep = atom
+    for _ in range(3000):
+        deep = Impl(atom, deep)
+    lexicon = Lexicon(entries={"deep": LexicalEntry("deep", {}, deep)})
+    scenario = parse_scenario("scenario deep\nlexicon ../lexicon.glue\n"
+                              "fstructure\n  f:[PRED 'Bill']\n"
+                              "attach deep -> f\ngoal f\n")
+    with pytest.raises(LexiconError, match="^input too large to process"):
+        premises(scenario, lexicon)
 
 
 def test_an_entry_too_deep_to_instantiate_is_a_lexicon_error():
