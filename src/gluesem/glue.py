@@ -16,12 +16,13 @@ restriction slots), a bound projection variable ``H``, or the template forms
 ``^.sig`` and ``(^ SUBJ).sig`` that lexical entries use before they are
 attached to a concrete node.
 
-Each formula has one shape. A tensor chain is one Tensor of its parts.
-Binders are nameless: a meaning variable is a loose index of the atom terms
-below its quantifier, counting meaning binders and lambdas, and ProjVar's
-index counts projection binders. Names are kept for printing, so
-alpha-equivalent formulas are ==. curry settles every tensor once: tensor
-antecedents become implications, and any other tensor is refused there.
+Each formula has one shape. A tensor chain is one Tensor of its parts, and
+a run of quantifiers is one Forall of its binders. Binders are nameless: a
+meaning variable is a loose index of the atom terms below its quantifier,
+counting meaning binders and lambdas, and ProjVar's index counts projection
+binders. Names are kept for printing, so alpha-equivalent formulas are ==.
+curry settles every tensor once: tensor antecedents become implications, and
+any other tensor is refused there.
 """
 
 from __future__ import annotations
@@ -179,8 +180,16 @@ Binder = Union[MeaningBinder, ProjBinder]
 @_hash_once
 @dataclass(frozen=True)
 class Forall:
-    binder: Binder
+    """A run of binders, outermost first; a quantified body joins it."""
+
+    binders: tuple[Binder, ...]
     body: "Formula"
+
+    def __post_init__(self):
+        if isinstance(self.body, Forall):
+            object.__setattr__(self, "binders",
+                               self.binders + self.body.binders)
+            object.__setattr__(self, "body", self.body.body)
 
     def __repr__(self):
         return format_glue(self)
@@ -193,12 +202,15 @@ Formula = Union[GlueAtom, Impl, Tensor, Forall]
 Scope = tuple[tuple[Var, ...], tuple[ProjBinder, ...]]
 
 
-def _bind(b: Binder, scope: Scope) -> Scope:
-    """The scope under the binder b."""
+def _bind(binders: Sequence[Binder], scope: Scope) -> Scope:
+    """The scope under a run of binders, outermost first."""
     meanings, projs = scope
-    if isinstance(b, MeaningBinder):
-        return (Var(b.name, b.ty),) + meanings, projs
-    return meanings, (b,) + projs
+    for b in binders:
+        if isinstance(b, MeaningBinder):
+            meanings = (Var(b.name, b.ty),) + meanings
+        else:
+            projs = (b,) + projs
+    return meanings, projs
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,7 @@ def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
         return f if all(map(operator.is_, parts, f.parts)) else Tensor(parts)
     if isinstance(f, Forall):
         body = map_atoms(f.body, fn)
-        return f if body is f.body else Forall(f.binder, body)
+        return f if body is f.body else Forall(f.binders, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -233,8 +245,9 @@ def normalize_meanings(f: Formula) -> Formula:
 
 
 def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
-    """Open one quantifier, substituting value for the bound variable."""
-    binder = f.binder
+    """Open the run's first binder, substituting value for its variable."""
+    binder, rest = f.binders[0], f.binders[1:]
+    body = Forall(rest, f.body) if rest else f.body
     if isinstance(binder, MeaningBinder):
         if not isinstance(value, Term):
             raise TypeError("meaning binder instantiated with a projection")
@@ -243,7 +256,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
                 f"{binder.name} has type {format_type(binder.ty)}, got "
                 f"{format_type(infer_type(value))}"
             )
-        return open_formula(f.body, (value,), ())
+        return open_formula(body, (value,), ())
     if isinstance(value, Term):
         raise TypeError("projection binder instantiated with a meaning term")
     declared = getattr(value, "index", None)
@@ -252,7 +265,7 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
             f"{binder.name} indexes {format_type(binder.index)} resources, "
             f"got proj({format_type(declared)})"
         )
-    return open_formula(f.body, (), (value,))
+    return open_formula(body, (), (value,))
 
 
 def open_formula(f: Formula, meanings: Sequence[Term],
@@ -281,11 +294,9 @@ def open_formula(f: Formula, meanings: Sequence[Term],
         return Tensor(tuple(open_formula(part, meanings, projs, m, p)
                             for part in f.parts))
     if isinstance(f, Forall):
-        if isinstance(f.binder, MeaningBinder):
-            m += 1
-        else:
-            p += 1
-        return Forall(f.binder, open_formula(f.body, meanings, projs, m, p))
+        inner = sum(isinstance(b, MeaningBinder) for b in f.binders)
+        return Forall(f.binders, open_formula(
+            f.body, meanings, projs, m + inner, p + len(f.binders) - inner))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -350,7 +361,7 @@ def _check(f: Formula, env: Mapping[str, SimpleType], scope: Scope) -> None:
             _check(part, env, scope)
         return
     if isinstance(f, Forall):
-        _check(f.body, env, _bind(f.binder, scope))
+        _check(f.body, env, _bind(f.binders, scope))
         return
     raise TypeError(f"not a formula: {f!r}")
 
@@ -379,7 +390,7 @@ def _curry(f: Formula, scope: Scope) -> Formula:
                 "a tensor under a quantifier is not supported; restructure "
                 f"the formula: {_fmt(f, 0, scope)}"
             )
-        return Forall(f.binder, _curry(f.body, _bind(f.binder, scope)))
+        return Forall(f.binders, _curry(f.body, _bind(f.binders, scope)))
     if isinstance(f, Impl):
         parts = [_curry(part, scope) for part in operands(f.left)]
         out = _curry(f.right, scope)
@@ -414,10 +425,9 @@ def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
 
     def walk(g: Formula, premise_side: bool) -> None:
         if isinstance(g, Forall):
-            kind = ("meaning" if isinstance(g.binder, MeaningBinder)
-                    else "projection")
             role = "existential" if premise_side else "eigen"
-            roles.append((g.binder.name, kind, role))
+            roles.extend((b.name, "meaning" if isinstance(b, MeaningBinder)
+                          else "projection", role) for b in g.binders)
             walk(g.body, premise_side)
         elif isinstance(g, Impl):
             walk(g.left, not premise_side)
@@ -468,15 +478,12 @@ class _GlueParser(Scanner):
             binders.append(self.binder())
         self.expect(".")
         outer = self.scope
-        for b in binders:
-            self.scope = _bind(b, self.scope)
+        self.scope = _bind(binders, outer)
         self.deeper()
         body = self.formula()
         self.depth -= 1
         self.scope = outer
-        for b in reversed(binders):
-            body = Forall(b, body)
-        return body
+        return Forall(tuple(binders), body)
 
     def binder(self) -> Binder:
         name = self.ident()
@@ -612,14 +619,9 @@ def _fmt(f: Formula, min_prec: int, scope: Scope) -> str:
         return (f"{format_proj(f.proj, projs)} ~> "
                 f"{format_term(open_bound(f.meaning, meanings))}")
     if isinstance(f, Forall):
-        binders = []
-        body: Formula = f
-        while isinstance(body, Forall):
-            binders.append(body.binder)
-            scope = _bind(body.binder, scope)
-            body = body.body
-        rendered = ", ".join(_fmt_binder(b) for b in binders)
-        text = f"forall {rendered}. {_fmt(body, _PREC_FORALL, scope)}"
+        rendered = ", ".join(_fmt_binder(b) for b in f.binders)
+        body = _fmt(f.body, _PREC_FORALL, _bind(f.binders, scope))
+        text = f"forall {rendered}. {body}"
         return f"({text})" if min_prec > _PREC_FORALL else text
     if isinstance(f, Impl):
         text = (f"{_fmt(f.left, _PREC_IMPL + 1, scope)} -o "

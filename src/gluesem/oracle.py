@@ -1,13 +1,13 @@
 """Exhaustive reference enumeration for cross-checking the search.
 
 This walks the sequent calculus with none of the prover's resource
-discipline. Invertible steps are applied outright: a quantified goal gets a
-fresh eigenvariable and an implication goal moves its antecedent into the
+discipline. Invertible steps are applied outright: a quantified goal gets
+fresh eigenvariables and an implication goal moves its antecedent into the
 context. At an atomic goal it picks a hypothesis and commits to it,
 decomposing it to its atomic head and trying every partition of the
-remaining resources at each implication along the way. A hypothesis's
-leading quantifiers open into holes in one substitution pass, and nothing
-is zonked up front: the unifier zonks what it compares. The context never
+remaining resources at each implication along the way. A run of
+quantifiers, in a goal or a hypothesis, opens in one substitution pass, and
+nothing is zonked up front: the unifier zonks what it compares. The context never
 holds a pair: prepare_premises splits a pair premise in two, the premises
 and the goal are curried, and curry refuses any pair it cannot curry. The
 only sharing with the prover is the term and unification substrate;
@@ -27,7 +27,6 @@ from .glue import (
     Formula,
     GlueAtom,
     Impl,
-    instantiate,
     open_formula,
 )
 from .lexicon import Premise
@@ -39,6 +38,7 @@ from .prover import (
     _ground_term,
     _holes,
     _prepare_goal,
+    _solve_goal_hole,
     _State,
     _Subst,
     _unify_atoms,
@@ -76,9 +76,9 @@ def _enumerate(ctx: tuple[Formula, ...], goal: Formula, subst: _Subst,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        eigen = _goal_eigen(goal.binder, state.fresh())
-        yield from _enumerate(ctx, instantiate(goal, eigen), subst,
-                              depth + 1, state)
+        eigens, meanings, projs, body = _holes(goal, _goal_eigen, state)
+        yield from _enumerate(ctx, open_formula(body, meanings, projs), subst,
+                              depth + len(eigens), state)
         return
     if isinstance(goal, Impl):
         yield from _enumerate(ctx + (goal.left,), goal.right, subst,
@@ -106,7 +106,7 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
         return
     state.stats.nodes += 1
     if isinstance(f, Forall):
-        holes, meanings, projs, body = _holes(f, state)
+        holes, meanings, projs, body = _holes(f, _solve_goal_hole, state)
         yield from _decide(open_formula(body, meanings, projs), rest, goal,
                            subst, depth + len(holes), state)
         return

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     NonPatternUnification,
@@ -73,7 +73,7 @@ from .terms import (
     open_lam,
     spine,
 )
-from .types import ArrowType, SimpleType, T
+from .types import ArrowType, SimpleType, T, arrow
 
 
 @dataclass
@@ -121,9 +121,6 @@ class Proof:
     children: tuple["Proof", ...] = ()
     eigen: Optional[Union[Eigen, ProjEigen]] = None
     instantiation: Optional[Union[Term, Proj]] = None
-
-    def conclusion(self) -> Formula:
-        return self.sequent.goal
 
 
 class Reading:
@@ -335,12 +332,6 @@ def _binder_types(ty: SimpleType, n: int) \
     return doms, ty
 
 
-def _arrows(doms: Sequence[SimpleType], ty: SimpleType) -> SimpleType:
-    for dom in reversed(doms):
-        ty = ArrowType(dom, ty)
-    return ty
-
-
 def _lams(doms: Sequence[SimpleType], body: Term) -> Term:
     """body under one binder per domain, normalized; the last is nearest."""
     for dom in reversed(doms):
@@ -380,7 +371,7 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
             # reuses the lifted hole
             if t.uid not in raised:
                 raised[t.uid] = MetaVar(t.name, state.fresh(),
-                                        _arrows(doms, t.ty), m.level)
+                                        arrow(*doms, t.ty), m.level)
             return app(raised[t.uid], *[index(i, depth) for i in range(n)])
         if isinstance(t, Eigen):
             if t.uid not in positions:
@@ -440,7 +431,7 @@ def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
         b_index = {y: j for j, y in enumerate(bas)}
         shared = [(i, b_index[x]) for i, x in enumerate(aas) if x in b_index]
     na, nb = len(aas), len(bas)
-    fresh_ty = _arrows([a_doms[i] for i, _ in shared], res_ty)
+    fresh_ty = arrow(*[a_doms[i] for i, _ in shared], res_ty)
     fresh = MetaVar(ma.name, state.fresh(), fresh_ty,
                     min(ma.level, mb.level))
     out = subst.bind_meaning(ma.uid, _lams(a_doms, app(
@@ -518,19 +509,22 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
     return ProjMeta(binder.name, uid, uid, binder.index)
 
 
-def _holes(f: Formula, state: _State) -> tuple[list, list, list, Formula]:
-    """Fresh holes for f's leading quantifiers, in binding order.
+def _holes(f: Formula, make: Callable, state: _State) \
+        -> tuple[list, list, list, Formula]:
+    """make's value for each binder of f's quantifier run, in binding order.
 
-    Returns them with open_formula's two sequences, nearest binder first,
-    and the body below.
+    make is _solve_goal_hole or _goal_eigen. Returns the values with
+    open_formula's two sequences, nearest binder first, and the body below;
+    a formula without a run is its own body.
     """
-    holes, meanings, projs = [], [], []
-    while isinstance(f, Forall):
-        hole = _solve_goal_hole(f.binder, state.fresh())
-        holes.append(hole)
-        (meanings if isinstance(hole, MetaVar) else projs).insert(0, hole)
-        f = f.body
-    return holes, meanings, projs, f
+    values, meanings, projs = [], [], []
+    if not isinstance(f, Forall):
+        return values, meanings, projs, f
+    for b in f.binders:
+        value = make(b, state.fresh())
+        values.append(value)
+        (meanings if isinstance(value, Term) else projs).insert(0, value)
+    return values, meanings, projs, f.body
 
 
 def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
@@ -547,12 +541,14 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        eigen = _goal_eigen(goal.binder, state.fresh())
-        body = instantiate(goal, eigen)
-        for out, ctx_out, node in _solve(ctx, body, subst, depth + 1, state):
-            yield out, ctx_out, _SNode(
-                "forall_right", node.consumed, eigen=eigen, child=node
-            )
+        eigens, meanings, projs, body = _holes(goal, _goal_eigen, state)
+        for out, ctx_out, node in _solve(
+                ctx, open_formula(body, meanings, projs), subst,
+                depth + len(eigens), state):
+            for eigen in reversed(eigens):
+                node = _SNode("forall_right", node.consumed, eigen=eigen,
+                              child=node)
+            yield out, ctx_out, node
         return
     if isinstance(goal, Impl):
         hyp_id = state.fresh()
@@ -584,7 +580,7 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
-    insts, meanings, projs, f = _holes(f, state)
+    insts, meanings, projs, f = _holes(f, _solve_goal_hole, state)
     antecedents: list[Formula] = []
     while isinstance(f, Impl):
         antecedents.append(f.left)
@@ -636,7 +632,7 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
         return Proof("forall_right", seq, (child,), eigen=node.eigen)
     if node.kind == "impl_right":
         seq = sequent(node.consumed)
-        ctx[node.hyp_id] = ground_formula(goal.left, subst)
+        ctx[node.hyp_id] = goal.left
         child = _replay(node.child, ctx, goal.right, subst)
         return Proof("impl_right", seq, (child,))
     if node.kind != "focus":
@@ -651,7 +647,7 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
         f = normalize_meanings(instantiate(f, value))
     for ant in node.ants:
         seq = sequent(ids, f)
-        left = _replay(ant, ctx, ground_formula(f.left, subst), subst)
+        left = _replay(ant, ctx, f.left, subst)
         chain.append(Proof("impl_left", seq, (left,)))
         ids -= ant.consumed
         f = f.right

@@ -194,7 +194,7 @@ def test_open_formula_opens_both_kinds_at_once_with_same_kind_shadowing():
     # other kind shadows nothing
     body = parse("forall X:proj(e), x:e. X ~> x -o (forall x:e. X ~> x) -o "
                  "(forall X:proj(e). X ~> x) -o (forall X:e. X ~> X) -o "
-                 "(forall x:proj(e). x ~> x) -o f.sig ~> leave(x)").body.body
+                 "(forall x:proj(e). x ~> x) -o f.sig ~> leave(x)").body
     opened = open_formula(body, [BILL], [SemProjectionRef("g")])
     assert format_glue(opened) == (
         "g.sig ~> Bill -o (forall x:e. g.sig ~> x) -o "

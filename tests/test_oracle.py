@@ -94,21 +94,27 @@ def test_work_is_counted(corpus):
 
 def test_a_hypothesis_opens_in_one_pass_and_is_never_zonked(corpus,
                                                             monkeypatch):
-    # a run of quantifiers opens with one open_formula call, and the
-    # hypothesis is not zonked on the way down: the unifier zonks what it
-    # compares
-    real_decide, real_open = oracle._decide, oracle.open_formula
+    # a run of quantifiers, in a hypothesis or a goal, opens with one
+    # open_formula call, and the hypothesis is not zonked on the way down:
+    # the unifier zonks what it compares
+    real_decide, real_enumerate = oracle._decide, oracle._enumerate
+    real_open = oracle.open_formula
     counts = Counter()
 
     def deciding(f, *args):
         counts["quantified"] += isinstance(f, Forall)
         return real_decide(f, *args)
 
+    def enumerating(ctx, goal, *args):
+        counts["quantified"] += isinstance(goal, Forall)
+        return real_enumerate(ctx, goal, *args)
+
     def opening(*args):
         counts["opened"] += 1
         return real_open(*args)
 
     monkeypatch.setattr(oracle, "_decide", deciding)
+    monkeypatch.setattr(oracle, "_enumerate", enumerating)
     monkeypatch.setattr(oracle, "open_formula", opening)
     scenario, prems = corpus["conversation"]
     assert len(oracle_enumerate(prems, scenario.goal)) == 5

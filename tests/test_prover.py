@@ -472,6 +472,20 @@ def test_a_3000_part_tensor_premise_is_split_and_searched():
     assert derive_readings([wide], "g") == []
 
 
+def test_a_3000_binder_run_parses_compares_curries_and_is_searched():
+    # a run of quantifiers is one node, walked in one step; the reading's
+    # proof is not read, as its 3,000 forall_left steps nest 3,000 deep
+    binders = ", ".join(f"X{i}:e" for i in range(3000))
+    text = f"forall {binders}. g.sig ~> leave(Bill)"
+    f = glue(text)
+    assert format_glue(f) == text
+    assert f == glue(text) and f is not glue(text)
+    assert hash(f) == hash(glue(text))
+    assert curry(f) == f
+    readings = derive_readings([f], "g")
+    assert [format_term(r.meaning) for r in readings] == ["leave(Bill)"]
+
+
 def test_quantified_tensor_hypothesis_is_refused():
     goal = parse_glue(
         "(forall X:e. g.sig ~> X * h.sig ~> X) -o f.sig ~> leave(Bill)",
