@@ -5,14 +5,14 @@ discipline. Invertible steps are applied outright: a quantified goal gets
 fresh eigenvariables and an implication goal moves its antecedent into the
 context. At an atomic goal it picks a hypothesis and commits to it,
 decomposing it to its atomic head and trying every partition of the
-remaining resources at each implication along the way. A run of
-quantifiers, in a goal or a hypothesis, opens in one substitution pass, and
-nothing is zonked up front: the unifier zonks what it compares. The context never
-holds a pair: prepare_premises splits a pair premise in two, the premises
-and the goal are curried, and curry refuses any pair it cannot curry. The
-only sharing with the prover is the term and unification substrate;
-resource bookkeeping here is eager multiset partitioning, so a bug in the
-prover's input-output threading cannot be mirrored on this side.
+remaining resources at each implication along the way. A run of quantifiers,
+in a goal or a hypothesis, opens in one substitution pass, and nothing is
+zonked up front: the unifier zonks what it compares. The context never holds
+a pair: prepare_premises splits a pair premise in two, the premises and the
+goal are curried, and curry refuses any pair it cannot curry. The only
+sharing with the prover is the term and unification substrate; resource
+bookkeeping here is eager multiset partitioning, so a bug in the prover's
+input-output threading cannot be mirrored on this side.
 
 Cost grows exponentially in the premise count; meant for small scenarios.
 """
