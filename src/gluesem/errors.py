@@ -5,6 +5,16 @@ class GlueError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class _SyntaxError(GlueError):
+    """Malformed text; the message ends with the offset when one is known."""
+
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = f"{message} (at offset {position})"
+        super().__init__(message)
+        self.position = position
+
+
 # --- meaning language ---
 
 class TermError(GlueError):
@@ -23,12 +33,8 @@ class ExtensionOfNonIntension(TermError):
     pass
 
 
-class TermSyntaxError(TermError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
+class TermSyntaxError(_SyntaxError, TermError):
+    pass
 
 
 # --- f-structures ---
@@ -37,12 +43,8 @@ class FStructureError(GlueError):
     pass
 
 
-class FStructureSyntaxError(FStructureError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
+class FStructureSyntaxError(_SyntaxError, FStructureError):
+    pass
 
 
 class DuplicateLabel(FStructureError):
@@ -75,12 +77,8 @@ class GlueFormulaError(GlueError):
     pass
 
 
-class GlueSyntaxError(GlueFormulaError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
+class GlueSyntaxError(_SyntaxError, GlueFormulaError):
+    pass
 
 
 class OpenVariable(GlueFormulaError):

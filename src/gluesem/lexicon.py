@@ -113,7 +113,7 @@ def parse_lexicon(text: str) -> Lexicon:
         if not head.startswith("entry "):
             raise LexiconError(f"stanza must start with 'entry': {head!r}")
         headword = head[len("entry "):].strip()
-        if headword in lexicon.entries or any(r[0] == headword for r in raw):
+        if any(r[0] == headword for r in raw):
             raise LexiconError(f"duplicate entry for {headword!r}")
         constraints: dict[str, str] = {}
         glue_text: Optional[str] = None

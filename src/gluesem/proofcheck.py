@@ -82,7 +82,7 @@ def check_proof(proof: Proof,
         raise InvalidStep((), "root context differs from the stated premises")
     if goal is not None and not _goal_matches(goal, proof.sequent.goal):
         raise InvalidStep((), "root goal differs from the stated goal")
-    _check_node(proof, (), ms)
+    _check_tree(proof, ms)
 
 
 def _goal_matches(stated: Formula, actual: Formula) -> bool:
@@ -97,15 +97,19 @@ def _fail(path: tuple[int, ...], reason: str):
     raise InvalidStep(path, reason)
 
 
-def _check_node(p: Proof, path: tuple[int, ...], ms: Counter) -> None:
-    checker = _RULES.get(p.rule)
-    if checker is None:
-        _fail(path, f"unknown rule {p.rule!r}")
-    kids = [_multiset(c.sequent.context) for c in p.children]
-    below = sum(kids, Counter())
-    checker(p, path, kids, ms - below, below - ms)
-    for i, (child, child_ms) in enumerate(zip(p.children, kids)):
-        _check_node(child, path + (i,), child_ms)
+def _check_tree(proof: Proof, ms: Counter) -> None:
+    """Check every step in pre-order; ms counts the root's context."""
+    stack = [(proof, (), ms)]
+    while stack:
+        p, path, ms = stack.pop()
+        checker = _RULES.get(p.rule)
+        if checker is None:
+            _fail(path, f"unknown rule {p.rule!r}")
+        kids = [_multiset(c.sequent.context) for c in p.children]
+        below = sum(kids, Counter())
+        checker(p, path, kids, ms - below, below - ms)
+        for i in reversed(range(len(kids))):
+            stack.append((p.children[i], path + (i,), kids[i]))
 
 
 def _expect_children(p: Proof, path, n: int) -> None:

@@ -70,7 +70,6 @@ from .terms import (
     infer_type,
     map_metas,
     normalize,
-    open_lam,
     spine,
 )
 from .types import ArrowType, SimpleType, T, arrow
@@ -247,8 +246,8 @@ def _unify(a: Term, b: Term, subst: _Subst, state: _State) -> Optional[_Subst]:
     if isinstance(a, Lam) or isinstance(b, Lam):
         ty = a.ty if isinstance(a, Lam) else b.ty
         eigen = Eigen("x", state.fresh(), ty)
-        return _unify(normalize(_apply_one(a, eigen)),
-                      normalize(_apply_one(b, eigen)), subst, state)
+        return _unify(normalize(app(a, eigen)), normalize(app(b, eigen)),
+                      subst, state)
     if isinstance(a, Up) and isinstance(b, Up):
         return _unify(a.body, b.body, subst, state)
     if isinstance(a, Down) and isinstance(b, Down):
@@ -282,17 +281,13 @@ def _unify_heads(ha: Term, hb: Term, subst: _Subst,
     return None
 
 
-def _apply_one(f: Term, arg: Term) -> Term:
-    return open_lam(f, arg) if isinstance(f, Lam) else App(f, arg)
-
-
 def _record_nonpattern(state: _State, why: str) -> None:
     if state.stats.nonpattern is None:
         state.stats.nonpattern = why
     return None
 
 
-def _pattern_args(m: MetaVar, args: list[Term],
+def _pattern_args(m: MetaVar, args: Sequence[Term],
                   state: _State) -> Optional[dict[int, tuple[int, bool]]]:
     """Check the pattern condition.
 
@@ -339,8 +334,8 @@ def _lams(doms: Sequence[SimpleType], body: Term) -> Term:
     return normalize(body)
 
 
-def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
-                state: _State) -> Optional[_Subst]:
+def _solve_flex(m: MetaVar, raw_args: Sequence[Term], rhs: Term,
+                subst: _Subst, state: _State) -> Optional[_Subst]:
     """Solve m(raw_args) = rhs by inverting rhs over the pattern arguments.
 
     rhs comes zonked and normal under subst. Pattern argument i of n, seen
@@ -383,9 +378,8 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
             if intension:
                 return index(i, depth)
         if isinstance(t, App):
-            fn = invert(t.fn, depth)
-            arg = invert(t.arg, depth)
-            return None if fn is None or arg is None else App(fn, arg)
+            parts = [invert(u, depth) for u in (t.fn,) + t.args]
+            return None if any(u is None for u in parts) else app(*parts)
         if isinstance(t, Lam):
             body = invert(t.body, depth + 1)
             return None if body is None else Lam(t.ty, body)
@@ -405,8 +399,8 @@ def _solve_flex(m: MetaVar, raw_args: list[Term], rhs: Term, subst: _Subst,
     return subst.bind_meaning(m.uid, solution)
 
 
-def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
-                     bas: list[Term], subst: _Subst,
+def _unify_flex_flex(ma: MetaVar, aas: Sequence[Term], mb: MetaVar,
+                     bas: Sequence[Term], subst: _Subst,
                      state: _State) -> Optional[_Subst]:
     """Bind both holes to one fresh hole over the arguments they share.
 
@@ -425,8 +419,6 @@ def _unify_flex_flex(ma: MetaVar, aas: list[Term], mb: MetaVar,
         if len(aas) != len(bas):
             return None
         shared = [(i, i) for i, (x, y) in enumerate(zip(aas, bas)) if x == y]
-        if len(shared) == len(aas):
-            return subst
     else:
         b_index = {y: j for j, y in enumerate(bas)}
         shared = [(i, b_index[x]) for i, x in enumerate(aas) if x in b_index]
@@ -771,21 +763,19 @@ def _trace_value(v: Union[Term, Proj]) -> str:
 
 
 def format_proof(proof: Proof) -> str:
-    """Indented rule-per-line rendering of a derivation tree."""
+    """Indented rule-per-line rendering of a derivation tree, in pre-order."""
     lines: list[str] = []
-    _format_proof(proof, 0, lines)
+    stack = [(proof, 0)]
+    while stack:
+        p, depth = stack.pop()
+        note = ""
+        if p.eigen is not None:
+            note = f"  [fresh {_trace_value(p.eigen)}]"
+        elif p.instantiation is not None:
+            note = f"  [:= {_trace_value(p.instantiation)}]"
+        lines.append(f"{'  ' * depth}{p.rule}: {p.sequent!r}{note}")
+        stack.extend((c, depth + 1) for c in reversed(p.children))
     return "\n".join(lines)
-
-
-def _format_proof(p: Proof, depth: int, lines: list[str]) -> None:
-    note = ""
-    if p.eigen is not None:
-        note = f"  [fresh {_trace_value(p.eigen)}]"
-    elif p.instantiation is not None:
-        note = f"  [:= {_trace_value(p.instantiation)}]"
-    lines.append(f"{'  ' * depth}{p.rule}: {p.sequent!r}{note}")
-    for child in p.children:
-        _format_proof(child, depth + 1, lines)
 
 
 def proof_json(proof: Proof) -> dict:

@@ -7,7 +7,7 @@ is what readings are compared by.
 
 Written syntax:
 
-    leave(Bill)            application (curried internally)
+    leave(Bill)            application, one App node per call
     \\x:e. leave(x)         abstraction, binder type required
     ^M  !M                 intension / extension, bind tighter than calls,
                            so !P(z) is (!P)(z)
@@ -18,8 +18,8 @@ Terms are locally nameless. A lambda binder has no name: its body refers to
 it by a Bound leaf whose index counts the binders crossed to reach it, 0 for
 the nearest. Var is a free formula variable and Eigen an eigenvariable of
 the prover, so alpha-equality is structural equality. lam(var, body)
-abstracts a free variable and open_lam(f, value) takes one beta step; the
-parser and the printer translate to and from the named syntax above.
+abstracts a free variable and open_bound(body, values) fills loose indices;
+the parser and the printer translate to and from the named syntax above.
 """
 
 from __future__ import annotations
@@ -106,8 +106,10 @@ class Lam(Term):
 
 @dataclass(frozen=True)
 class App(Term):
+    """A call fn(*args); app builds it, so args is non-empty and fn no App."""
+
     fn: Term
-    arg: Term
+    args: tuple[Term, ...]
 
     def __repr__(self):
         return format_term(self)
@@ -152,19 +154,17 @@ class MetaVar(Term):
 
 
 def app(fn: Term, *args: Term) -> Term:
-    for a in args:
-        fn = App(fn, a)
-    return fn
+    """fn applied to args; a call given as fn gets its arguments extended."""
+    if not args:
+        return fn
+    if isinstance(fn, App):
+        return App(fn.fn, fn.args + args)
+    return App(fn, args)
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Split nested applications into head and argument list."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
+def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
+    """The head of a call and its arguments; a non-call has none."""
+    return (t.fn, t.args) if isinstance(t, App) else (t, ())
 
 
 def free_meta_vars(t: Term) -> set[MetaVar]:
@@ -180,7 +180,7 @@ def _collect(t: Term, cls: type | tuple[type, ...]) -> set:
         if isinstance(u, cls):
             out.add(u)
         elif isinstance(u, App):
-            stack.append(u.arg)
+            stack.extend(u.args)
             stack.append(u.fn)
         elif isinstance(u, (Lam, Up, Down)):
             stack.append(u.body)
@@ -195,8 +195,13 @@ def map_leaves(t: Term, fn: Callable[[Term, int], Term],
     """
     if isinstance(t, App):
         head = map_leaves(t.fn, fn, depth)
-        arg = map_leaves(t.arg, fn, depth)
-        return t if head is t.fn and arg is t.arg else App(head, arg)
+        same = head is t.fn
+        args = []
+        for a in t.args:
+            b = map_leaves(a, fn, depth)
+            same = same and b is a
+            args.append(b)
+        return t if same else app(head, *args)
     if isinstance(t, Lam):
         body = map_leaves(t.body, fn, depth + 1)
         return t if body is t.body else Lam(t.ty, body)
@@ -220,11 +225,6 @@ def lam(var: Var, body: Term) -> Lam:
             return Bound(u.index + 1, u.ty)
         return u
     return Lam(var.ty, map_leaves(body, leaf))
-
-
-def open_lam(f: Lam, value: Term) -> Term:
-    """One beta step: the body of f with value in place of its binder."""
-    return open_bound(f.body, (value,))
 
 
 def open_bound(t: Term, values: Sequence[Term], depth: int = 0) -> Term:
@@ -292,17 +292,19 @@ def _tc(t: Term, env: Optional[Mapping[str, SimpleType]],
         return ArrowType(t.ty, _tc(t.body, env, (t.ty,) + binders))
     if isinstance(t, App):
         fn_ty = _tc(t.fn, env, binders)
-        arg_ty = _tc(t.arg, env, binders)
-        if not isinstance(fn_ty, ArrowType):
-            raise TypeMismatch(
-                f"cannot apply term of type {format_type(fn_ty)}"
-            )
-        if fn_ty.dom != arg_ty:
-            raise TypeMismatch(
-                f"argument type {format_type(arg_ty)} does not match domain "
-                f"{format_type(fn_ty.dom)}"
-            )
-        return fn_ty.cod
+        for a in t.args:
+            arg_ty = _tc(a, env, binders)
+            if not isinstance(fn_ty, ArrowType):
+                raise TypeMismatch(
+                    f"cannot apply term of type {format_type(fn_ty)}"
+                )
+            if fn_ty.dom != arg_ty:
+                raise TypeMismatch(
+                    f"argument type {format_type(arg_ty)} does not match "
+                    f"domain {format_type(fn_ty.dom)}"
+                )
+            fn_ty = fn_ty.cod
+        return fn_ty
     if isinstance(t, Up):
         return ArrowType(S, _tc(t.body, env, binders))
     if isinstance(t, Down):
@@ -347,18 +349,23 @@ def normalize(t: Term) -> Term:
     if isinstance(t, Lam):
         body = normalize(t.body)
         # eta: \x. f(x) -> f when x does not occur in f
-        if (isinstance(body, App) and isinstance(body.arg, Bound)
-                and body.arg.index == 0):
-            fn = _eta_lower(body.fn)
+        if (isinstance(body, App) and isinstance(body.args[-1], Bound)
+                and body.args[-1].index == 0):
+            fn = _eta_lower(app(body.fn, *body.args[:-1]))
             if fn is not None:
                 return fn
         return t if body is t.body else Lam(t.ty, body)
     if isinstance(t, App):
         fn = normalize(t.fn)
-        arg = normalize(t.arg)
+        same = fn is t.fn
+        args = []
+        for a in t.args:
+            b = normalize(a)
+            same = same and b is a
+            args.append(b)
         if isinstance(fn, Lam):
-            return normalize(open_lam(fn, arg))
-        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+            return normalize(app(open_bound(fn.body, args[:1]), *args[1:]))
+        return t if same else app(fn, *args)
     if isinstance(t, Up):
         body = normalize(t.body)
         return t if body is t.body else Up(body)
@@ -399,7 +406,10 @@ def canonical_key(t: Term) -> str:
     if isinstance(t, Lam):
         return f"(\\{format_type(t.ty)}.{canonical_key(t.body)})"
     if isinstance(t, App):
-        return f"({canonical_key(t.fn)} {canonical_key(t.arg)})"
+        key = canonical_key(t.fn)
+        for a in t.args:
+            key = f"({key} {canonical_key(a)})"
+        return key
     if isinstance(t, Up):
         return f"(^{canonical_key(t.body)})"
     if isinstance(t, Down):
@@ -621,8 +631,8 @@ def _render(t: Term, namer: _Namer, scope: tuple[str, ...],
         head, args = spine(t)
         if (
             isinstance(head, Const)
-            and head.ty == QUANTIFIER_TYPE
             and len(args) == 2
+            and head.ty == QUANTIFIER_TYPE
         ):
             name = namer.next_for(E)
             parts = [_render_applied(arg, name, namer, scope) for arg in args]
@@ -647,12 +657,6 @@ def _render_operand(t: Term, namer: _Namer, scope: tuple[str, ...]) -> str:
 def _render_applied(f: Term, var_name: str, namer: _Namer,
                     scope: tuple[str, ...]) -> str:
     """Render f as applied to the sugar binder, unfolding abstractions."""
-    if isinstance(f, Lam):
-        return _render(f.body, namer, (var_name,) + scope, top=True)
-    # eta-contracted argument: extend its application spine with the binder
-    head, args = spine(f)
-    head_text = _render_operand(head, namer, scope)
-    rendered = [_render(a, namer, scope, top=not isinstance(a, Lam))
-                for a in args]
-    rendered.append(var_name)
-    return f"{head_text}({', '.join(rendered)})"
+    # an eta-contracted argument becomes a call on the binder
+    body = f.body if isinstance(f, Lam) else app(_shift(f, 1), Bound(0, E))
+    return _render(body, namer, (var_name,) + scope, top=True)

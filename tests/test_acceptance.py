@@ -32,6 +32,7 @@ from gluesem.terms import (
     Up,
     Var,
     alpha_equal,
+    app,
     canonical_key,
     format_term,
     infer_type,
@@ -324,7 +325,7 @@ def _random_term(rng, ty, env, depth):
         arg_ty = rng.choice(_TYPE_POOL)
         fn = _random_term(rng, ArrowType(arg_ty, ty), env, depth - 1)
         arg = _random_term(rng, arg_ty, env, depth - 1)
-        return App(fn, arg)
+        return app(fn, arg)
     return Const(f"k_{str(ty).replace(' ', '')}", ty)
 
 
@@ -336,7 +337,7 @@ def _has_cancelled_pair(t):
     if isinstance(t, Lam):
         return _has_cancelled_pair(t.body)
     if isinstance(t, App):
-        return _has_cancelled_pair(t.fn) or _has_cancelled_pair(t.arg)
+        return any(map(_has_cancelled_pair, (t.fn,) + t.args))
     return False
 
 

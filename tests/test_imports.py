@@ -42,6 +42,30 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _app_calls(node: ast.AST) -> set[int]:
+    return {n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+            and "App" in (getattr(n.func, "id", None),
+                          getattr(n.func, "attr", None))}
+
+
+def test_only_terms_app_builds_a_call():
+    # app merges a call given as the head into one node, so while it is the
+    # one builder no App has an App head
+    stray = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = _app_calls(tree)
+        if path.name == "terms.py":
+            [builder] = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "app"]
+            assert _app_calls(builder)
+            lines -= _app_calls(builder)
+        if lines:
+            stray[path.name] = sorted(lines)
+    assert not stray, f"App(...) built outside terms.app: {stray}"
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     names = {}
     for node in tree.body:

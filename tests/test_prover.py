@@ -1,8 +1,10 @@
 """Backward-chaining search: readings, theorems, resource accounting."""
 
 import importlib.util
+import inspect
 import itertools
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -54,6 +56,7 @@ from gluesem.terms import (
     Lam,
     MetaVar,
     Var,
+    app,
     format_term,
     free_meta_vars,
     normalize,
@@ -311,8 +314,8 @@ def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
     m = MetaVar("M", 101, parse_type("e -> t"), 101)
     x = _goal_eigen(MeaningBinder("x", E), 102)
     n = MetaVar("N", 103, T, 103)
-    lhs = App(m, x)
-    rhs = App(App(Const("and", parse_type("t -> t -> t")), n), n)
+    lhs = app(m, x)
+    rhs = app(app(Const("and", parse_type("t -> t -> t")), n), n)
     bound = []
     bind = _Subst.bind_meaning
 
@@ -328,8 +331,19 @@ def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
     solution = out.meanings[m.uid]
     [lifted] = free_meta_vars(solution)
     assert lifted.level == m.level
-    assert out.meanings[n.uid] == App(lifted, x)
+    assert out.meanings[n.uid] == app(lifted, x)
     assert normalize(zonk_term(lhs, out)) == normalize(zonk_term(rhs, out))
+
+
+def test_zonk_merges_a_call_that_fills_a_head():
+    # ?F(x) with ?F := find(Bill) is the one call find(Bill, x)
+    find = Const("find", parse_type("e -> e -> t"))
+    hole = MetaVar("F", 1, parse_type("e -> t"), 1)
+    x = Eigen("x", 2, E)
+    subst = _Subst().bind_meaning(hole.uid, app(find, Const("Bill", E)))
+    out = zonk_term(app(hole, x), subst)
+    assert out == App(find, (Const("Bill", E), x))
+    assert format_term(out) == "find(Bill, x)"
 
 
 def test_variables_that_differ_only_in_type_do_not_unify():
@@ -359,35 +373,35 @@ def _pruned(out, subst):
     solution = out.meanings[_N.uid]
     [fresh] = free_meta_vars(solution)
     return fresh.ty == ET and fresh.level == _N.level and \
-        solution == Lam(E, Lam(E, App(fresh, Bound(1, E))))
+        solution == Lam(E, Lam(E, app(fresh, Bound(1, E))))
 
 
 UNIFY_CASES = {
     "occurs-check": (
-        _meanings(App(_M, _X), App(Const("k", parse_type("t -> t")),
-                                   App(_M, _X))),
+        _meanings(app(_M, _X), app(Const("k", parse_type("t -> t")),
+                                   app(_M, _X))),
         lambda out, subst: out is None, None),
     "older-eigenvariable": (
-        _meanings(App(MetaVar("M", 20, ET, 20), Eigen("x", 10, E)),
-                  App(Const("leave", ET), Eigen("x", 10, E))),
+        _meanings(app(MetaVar("M", 20, ET, 20), Eigen("x", 10, E)),
+                  app(Const("leave", ET), Eigen("x", 10, E))),
         lambda out, subst: out is None,
         "metavariable applied to an older eigenvariable"),
     "repeated-eigenvariable": (
-        _meanings(App(App(_N, _X), _X),
-                  App(App(Const("g", EET), _X), _X)),
+        _meanings(app(app(_N, _X), _X),
+                  app(app(Const("g", EET), _X), _X)),
         lambda out, subst: out is None,
         "metavariable applied to a repeated eigenvariable"),
     "hole-under-rigid-head": (
-        _meanings(App(Down(MetaVar("P", 1, parse_type("s -> e -> t"), 1)),
+        _meanings(app(Down(MetaVar("P", 1, parse_type("s -> e -> t"), 1)),
                       _X),
-                  App(Const("f", ET), _X)),
+                  app(Const("f", ET), _X)),
         lambda out, subst: out is None,
         "application head mixes a hole with rigid structure"),
     "same-hole-prunes": (
-        _meanings(App(App(_N, _X), _Y), App(App(_N, _X), _Z)),
+        _meanings(app(app(_N, _X), _Y), app(app(_N, _X), _Z)),
         _pruned, None),
     "identical-sides": (
-        _meanings(App(App(_N, _X), _Y), App(App(_N, _X), _Y)),
+        _meanings(app(app(_N, _X), _Y), app(app(_N, _X), _Y)),
         lambda out, subst: out is subst, None),
     "projection-holes-newer-first": (
         _projs(_NEWER, _OLDER),
@@ -614,6 +628,24 @@ def test_format_proof_shows_rules_and_instantiations(corpus):
     assert ":=" in text or "fresh" in text
     # one rule per line, indented by depth
     assert all(line.lstrip() for line in text.splitlines())
+
+
+def test_a_proof_deeper_than_the_stack_prints_and_checks():
+    # 400 binders give a chain of 400 forall_left steps; both walkers loop
+    # over the proof, so they need far less stack than the chain is deep
+    binders = ", ".join(f"X{i}:e" for i in range(400))
+    f = glue(f"forall {binders}. g.sig ~> leave(Bill)")
+    [reading] = derive_readings([f], "g")
+    proof = reading.proof
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        text = format_proof(proof)
+        check_proof(proof, premises=[f], goal="g")
+    finally:
+        sys.setrecursionlimit(limit)
+    lines = text.splitlines()
+    assert len(lines) == 401 and lines[-1].startswith(" " * 800 + "axiom:")
 
 
 def test_replayed_sequents_show_normal_meanings(corpus):

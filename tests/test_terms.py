@@ -24,6 +24,7 @@ from gluesem.terms import (
     format_term,
     infer_type,
     normalize,
+    open_bound,
     parse_term,
     subst_map,
     substitute,
@@ -53,7 +54,7 @@ LEAVE = Const("leave", ET)
 
 
 def test_application_eliminates_arrow():
-    assert typecheck(App(LEAVE, BILL)) == T
+    assert typecheck(app(LEAVE, BILL)) == T
 
 
 def test_quantified_scope_abstraction_type():
@@ -84,7 +85,7 @@ def test_bound_index_must_match_its_binder():
 
 def test_application_domain_mismatch():
     with pytest.raises(TypeMismatch):
-        typecheck(App(LEAVE, LEAVE))
+        typecheck(app(LEAVE, LEAVE))
 
 
 def test_env_disagreeing_with_annotation_is_an_error():
@@ -98,7 +99,7 @@ def test_env_disagreeing_with_annotation_is_an_error():
 
 def test_substitute_into_application():
     X = Var("X", E)
-    assert substitute(App(LEAVE, X), X, BILL) == App(LEAVE, BILL)
+    assert substitute(app(LEAVE, X), X, BILL) == app(LEAVE, BILL)
 
 
 def test_substitute_ignores_bound_variable():
@@ -134,8 +135,8 @@ def test_substitute_rejects_wrong_type():
 
 
 def test_beta_step():
-    redex = App(lam(Var("x", E), App(LEAVE, Var("x", E))), BILL)
-    assert normalize(redex) == App(LEAVE, BILL)
+    redex = app(lam(Var("x", E), app(LEAVE, Var("x", E))), BILL)
+    assert normalize(redex) == app(LEAVE, BILL)
 
 
 def test_extension_of_intension_cancels():
@@ -144,7 +145,7 @@ def test_extension_of_intension_cancels():
 
 
 def test_eta_contraction_of_simple_wrapper():
-    wrapped = lam(Var("x", E), App(LEAVE, Var("x", E)))
+    wrapped = lam(Var("x", E), app(LEAVE, Var("x", E)))
     assert normalize(wrapped) == LEAVE
 
 
@@ -201,7 +202,7 @@ def test_print_parse_round_trip(text):
 
 
 def test_body_of_an_abstraction_prints_its_loose_index():
-    body = lam(Var("x", E), App(LEAVE, Var("x", E))).body
+    body = lam(Var("x", E), app(LEAVE, Var("x", E))).body
     assert format_term(body) == "leave(#0)"
     x, y = Var("x", E), Var("y", E)
     nested = lam(x, lam(y, app(Const("find", arrow(E, E, T)), x, y))).body
@@ -211,7 +212,7 @@ def test_body_of_an_abstraction_prints_its_loose_index():
 def test_eigenvariable_prints_its_uid_only_beside_a_namesake():
     find = Const("find", arrow(E, E, T))
     x5, x9 = Eigen("x", 5, E), Eigen("x", 9, E)
-    assert format_term(App(LEAVE, x5)) == "leave(x)"
+    assert format_term(app(LEAVE, x5)) == "leave(x)"
     assert format_term(app(find, x5, x9)) == "find(x#5, x#9)"
     assert format_term(app(find, x5, Var("x", E))) == "find(x#5, x)"
     assert canonical_key(x5) == "v:x#5:e"
@@ -220,8 +221,18 @@ def test_eigenvariable_prints_its_uid_only_beside_a_namesake():
 def test_quantifier_sugar_is_application_underneath():
     term = parse_term("every(z, man(z), leave(z))", SIG)
     assert isinstance(term, App)
-    assert isinstance(term.fn, App)
-    assert term.fn.fn == Const("every", arrow(ET, ET, T))
+    assert term.fn == Const("every", arrow(ET, ET, T))
+    assert len(term.args) == 2
+
+
+def test_a_3000_argument_call_is_one_node():
+    c = Const("c", E)
+    g = Const("g", arrow(*[E] * 3000, T))
+    wide = app(g, *[c] * 3000)
+    assert wide.fn is g and len(wide.args) == 3000
+    assert infer_type(wide) == T
+    assert normalize(wide) is wide
+    assert wide == app(g, *[c] * 3000)
 
 
 def test_printer_regenerates_quantifier_sugar():
@@ -262,7 +273,7 @@ def _gen_term(draw, ty, env, depth):
         arg_ty = draw(st.sampled_from(_TYPE_POOL))
         fun = _gen_term(draw, ArrowType(arg_ty, ty), env, depth - 1)
         arg = _gen_term(draw, arg_ty, env, depth - 1)
-        return App(fun, arg)
+        return app(fun, arg)
     return Const(f"k_{str(ty).replace(' ', '')}", ty)
 
 
@@ -280,8 +291,7 @@ def _contains_cancelled_pair(t):
     if isinstance(t, Lam):
         return _contains_cancelled_pair(t.body)
     if isinstance(t, App):
-        return (_contains_cancelled_pair(t.fn)
-                or _contains_cancelled_pair(t.arg))
+        return any(map(_contains_cancelled_pair, (t.fn,) + t.args))
     return False
 
 
@@ -292,6 +302,42 @@ def test_normalize_idempotent_and_type_preserving(term):
     assert alpha_equal(normalize(once), once)
     assert infer_type(once) == infer_type(term)
     assert not _contains_cancelled_pair(once)
+
+
+def _in_spine_form(t):
+    # no call has a call as its head or no arguments
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            if isinstance(u.fn, App) or not u.args:
+                return False
+            stack.extend((u.fn,) + u.args)
+        elif isinstance(u, (Lam, Up, Down)):
+            stack.append(u.body)
+    return True
+
+
+@st.composite
+def call_in_head_position(draw):
+    """A call, and index 0 applied to an argument where the call goes."""
+    ty = ArrowType(draw(st.sampled_from(_TYPE_POOL)),
+                   draw(st.sampled_from(_TYPE_POOL)))
+    first_ty = draw(st.sampled_from(_TYPE_POOL))
+    fn = _gen_term(draw, ArrowType(first_ty, ty), [], draw(st.integers(0, 2)))
+    call = app(fn, _gen_term(draw, first_ty, [], draw(st.integers(0, 2))))
+    arg = _gen_term(draw, ty.dom, [], draw(st.integers(0, 2)))
+    return call, app(Bound(0, ty), arg), arg
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_terms(), call_in_head_position())
+def test_calls_stay_in_spine_form(term, placed):
+    call, body, arg = placed
+    opened = open_bound(body, (call,))
+    assert opened == app(call, arg)
+    for t in (normalize(term), opened, normalize(opened)):
+        assert _in_spine_form(t)
 
 
 @st.composite
