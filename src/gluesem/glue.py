@@ -367,7 +367,7 @@ def _check(f: Formula, env: Mapping[str, SimpleType], scope: Scope) -> None:
 
 
 # ---------------------------------------------------------------------------
-# currying and polarity
+# currying
 
 def curry(f: Formula) -> Formula:
     """Rewrite tensor antecedents into nested implications.
@@ -411,41 +411,6 @@ def operands(f: Formula) -> Iterator[Formula]:
         return
     for part in f.parts:
         yield from operands(part)
-
-
-def polarity_roles(f: Formula) -> list[tuple[str, str, str]]:
-    """Role of each quantified variable when the formula is used as a premise.
-
-    Premise-side quantifiers are instantiated by the prover (existential
-    role); each descent into an implication antecedent flips the side, and a
-    goal-side quantifier introduces an arbitrary fresh object (eigen role).
-    Returned in binding order as (name, meaning|projection, role).
-    """
-    roles: list[tuple[str, str, str]] = []
-
-    def walk(g: Formula, premise_side: bool) -> None:
-        if isinstance(g, Forall):
-            role = "existential" if premise_side else "eigen"
-            roles.extend((b.name, "meaning" if isinstance(b, MeaningBinder)
-                          else "projection", role) for b in g.binders)
-            walk(g.body, premise_side)
-        elif isinstance(g, Impl):
-            walk(g.left, not premise_side)
-            walk(g.right, premise_side)
-        elif isinstance(g, Tensor):
-            for part in g.parts:
-                walk(part, premise_side)
-
-    walk(f, True)
-    return roles
-
-
-# ---------------------------------------------------------------------------
-# alpha comparison
-
-def alpha_equal_formulas(a: Formula, b: Formula) -> bool:
-    """Binders are nameless, so alpha-equivalent formulas are equal."""
-    return a == b
 
 
 # ---------------------------------------------------------------------------

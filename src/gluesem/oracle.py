@@ -7,9 +7,10 @@ context. At an atomic goal it picks a hypothesis and commits to it,
 decomposing it to its atomic head and trying every partition of the
 remaining resources at each implication along the way. A run of quantifiers,
 in a goal or a hypothesis, opens in one substitution pass, and nothing is
-zonked up front: the unifier zonks what it compares. The context never holds
-a pair: prepare_premises splits a pair premise in two, the premises and the
-goal are curried, and curry refuses any pair it cannot curry. The only
+filled in up front: the unifier fills the holes of what it compares as it
+normalizes it. The context never holds a pair: prepare_premises splits a
+pair premise in two, the premises and the goal are curried, and curry
+refuses any pair it cannot curry. The only
 sharing with the prover is the term and unification substrate; resource
 bookkeeping here is eager multiset partitioning, so a bug in the prover's
 input-output threading cannot be mirrored on this side.
@@ -98,8 +99,8 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
     A run of quantifiers opens into fresh holes in one pass, a depth step
     per hole. Each implication tries every way of paying for its antecedent
     out of the unused resources. The final atom must both match the goal
-    and leave nothing unconsumed; it is not zonked first, as the unifier
-    zonks what it compares.
+    and leave nothing unconsumed; its holes are not filled first, as the
+    unifier fills what it compares.
     """
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True

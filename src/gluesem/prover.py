@@ -5,8 +5,10 @@ a subgoal consumes some of the linear resources and hands the rest back. At
 an atomic goal the prover uses one context formula as a clause: it strips
 the quantifiers into metavariables, opens and unifies only the head, then
 proves the antecedents left to right, opening each when it is reached.
-Opening is one substitution pass for all the metavariables; nothing is
-zonked up front, as unification zonks what it compares.
+Opening is one substitution pass for all the metavariables. Nothing is
+filled in up front: unification hands each side to normalize with the
+substitution, which fills the bound holes and normalizes in one pass, and a
+reading is grounded the same way, a free hole becoming a placeholder.
 
 Quantifier reasoning uses one global counter: every eigenvariable and every
 metavariable carries the counter value from its creation. A metavariable's
@@ -65,12 +67,12 @@ from .terms import (
     Var,
     app,
     canonical_key,
+    eta_lam,
     format_term,
     free_meta_vars,
-    infer_type,
-    map_metas,
     normalize,
     spine,
+    type_of,
 )
 from .types import ArrowType, SimpleType, T, arrow
 
@@ -83,8 +85,9 @@ class SearchLimits:
     itself terminates structurally, so the bound is a safety valve and
     hitting it is reported, not raised. typed_scope enforces the atom index
     check during unification; turning it off makes the prover attempt
-    ill-indexed combinations (they still fail, on the meaning types) and is
-    only useful for observing that the index discipline does real work.
+    ill-indexed combinations (they still fail, on the meaning types, which
+    the unifier reads off each side's spine) and is only useful for
+    observing that the index discipline does real work.
     """
 
     max_depth: int = 64
@@ -180,15 +183,14 @@ class _Subst:
         projs[uid] = value
         return _Subst(self.meanings, projs)
 
+    def meaning(self, m: MetaVar) -> Optional[Term]:
+        """The term bound to hole m, or None; normalize's holes."""
+        return self.meanings.get(m.uid)
 
-def zonk_term(t: Term, subst: _Subst) -> Term:
-    meanings = subst.meanings
-
-    def resolve(m: MetaVar) -> Term:
-        bound = meanings.get(m.uid)
-        return m if bound is None else map_metas(bound, resolve)
-
-    return map_metas(t, resolve)
+    def ground_meaning(self, m: MetaVar) -> Term:
+        """The term bound to hole m, or a placeholder constant for it."""
+        value = self.meanings.get(m.uid)
+        return Const(f"arb_{m.name}{m.uid}", m.ty) if value is None else value
 
 
 def zonk_proj(p: Proj, subst: _Subst) -> Proj:
@@ -201,9 +203,8 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
 
 
 def _ground_term(t: Term, subst: _Subst) -> Term:
-    """Zonk, fill unconstrained holes with placeholder constants, normalize."""
-    return normalize(map_metas(zonk_term(t, subst),
-                               lambda m: Const(f"arb_{m.name}{m.uid}", m.ty)))
+    """t normalized with its holes filled, a free hole by a placeholder."""
+    return normalize(t, subst.ground_meaning)
 
 
 def _ground_proj(p: Proj, subst: _Subst) -> Proj:
@@ -224,8 +225,8 @@ def ground_formula(f: Formula, subst: _Subst) -> Formula:
 
 def _unify_meaning(a: Term, b: Term, subst: _Subst,
                    state: _State) -> Optional[_Subst]:
-    a = normalize(zonk_term(a, subst))
-    b = normalize(zonk_term(b, subst))
+    a = normalize(a, subst.meaning)
+    b = normalize(b, subst.meaning)
     return _unify(a, b, subst, state)
 
 
@@ -328,17 +329,18 @@ def _binder_types(ty: SimpleType, n: int) \
 
 
 def _lams(doms: Sequence[SimpleType], body: Term) -> Term:
-    """body under one binder per domain, normalized; the last is nearest."""
+    """Normal body under one binder per domain, the last nearest; as body
+    is normal, only these binders can eta-contract."""
     for dom in reversed(doms):
-        body = Lam(dom, body)
-    return normalize(body)
+        body = eta_lam(dom, body)
+    return body
 
 
 def _solve_flex(m: MetaVar, raw_args: Sequence[Term], rhs: Term,
                 subst: _Subst, state: _State) -> Optional[_Subst]:
     """Solve m(raw_args) = rhs by inverting rhs over the pattern arguments.
 
-    rhs comes zonked and normal under subst. Pattern argument i of n, seen
+    rhs comes normal, its bound holes filled. Pattern argument i of n, seen
     under d binders of rhs, becomes the index d + n - 1 - i of the
     solution's own binders.
     """
@@ -391,9 +393,11 @@ def _solve_flex(m: MetaVar, raw_args: Sequence[Term], rhs: Term,
     body = invert(rhs, 0)
     if body is None:
         return None
-    solution = _lams(doms, body)
-    if infer_type(solution) != m.ty:
+    # read off the spines, this is the check that the solution has m's type
+    if type_of(rhs) != split[1] \
+            or any(type_of(a) != dom for a, dom in zip(raw_args, doms)):
         return None
+    solution = _lams(doms, body)
     for uid, lifted in raised.items():
         subst = subst.bind_meaning(uid, app(lifted, *raw_args))
     return subst.bind_meaning(m.uid, solution)

@@ -24,7 +24,7 @@ the parser and the printer translate to and from the named syntax above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -211,11 +211,6 @@ def map_leaves(t: Term, fn: Callable[[Term, int], Term],
     return fn(t, depth)
 
 
-def map_metas(t: Term, fn: Callable[[MetaVar], Term]) -> Term:
-    """Replace each metavariable m by fn(m), which holds no loose index."""
-    return map_leaves(t, lambda u, _: fn(u) if isinstance(u, MetaVar) else u)
-
-
 def lam(var: Var, body: Term) -> Lam:
     """Abstract the free variable var of body."""
     def leaf(u: Term, depth: int) -> Term:
@@ -339,42 +334,165 @@ def subst_map(t: Term, mapping: Mapping[str, Term]) -> Term:
                       if isinstance(u, Var) else u)
 
 
-def normalize(t: Term) -> Term:
+def type_of(t: Term) -> SimpleType:
+    """The type of a well-typed t, read off its spine without checking it."""
+    head, args = spine(t)
+    if isinstance(head, (Lam, Up)):
+        ty = ArrowType(head.ty if isinstance(head, Lam) else S,
+                       type_of(head.body))
+    else:
+        ty = type_of(head.body).cod if isinstance(head, Down) else head.ty
+    for _ in args:
+        ty = ty.cod
+    return ty
+
+
+def normalize(t: Term, holes: Optional[Callable] = None) -> Term:
     """Beta-normalize, eta-contract and erase !(^M) redexes.
 
-    Subterms already in normal form come back as the same objects.
+    holes(m) gives the closed term that fills hole m, or None to keep it; it
+    is asked once per hole and call. Normal subterms come back as the same
+    objects. A call whose head is an abstraction, or a hole filled with one,
+    is evaluated: beta steps extend environments, and reading the value back
+    builds the result once, eta-contracting and cancelling !^ as it goes.
     """
-    if isinstance(t, (Const, Var, Eigen, Bound, MetaVar)):
-        return t
-    if isinstance(t, Lam):
-        body = normalize(t.body)
-        # eta: \x. f(x) -> f when x does not occur in f
-        if (isinstance(body, App) and isinstance(body.args[-1], Bound)
-                and body.args[-1].index == 0):
-            fn = _eta_lower(app(body.fn, *body.args[:-1]))
-            if fn is not None:
-                return fn
-        return t if body is t.body else Lam(t.ty, body)
-    if isinstance(t, App):
-        fn = normalize(t.fn)
+    return _norm(t, None if holes is None else _Fill(holes))
+
+
+@dataclass(slots=True)
+class _Fill:
+    """Each filler of one normalize call: as given, normal and evaluated."""
+
+    holes: Callable[[MetaVar], Optional[Term]]
+    fillers: dict = field(default_factory=dict)
+    terms: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+
+def _hole(m: MetaVar, fill: _Fill, done: dict, make: Callable) -> object:
+    """What make gives for the filler of m, or m when m is not filled."""
+    out = done.get(m.uid)
+    if out is None:
+        if m.uid not in fill.fillers:
+            fill.fillers[m.uid] = fill.holes(m)
+        filler = fill.fillers[m.uid]
+        out = done[m.uid] = m if filler is None else make(filler, fill)
+    return out
+
+
+def _norm(t: Term, fill: Optional[_Fill]) -> Term:
+    """normalize as a walk that keeps what is already normal."""
+    cls = type(t)
+    if cls is App:
+        fn = t.fn
+        if type(fn) is MetaVar and fill is not None:
+            fn = _hole(fn, fill, fill.values, _eval)
+            if type(fn) is not _Closure:
+                fn = _read(fn, 0, fill)
+        elif type(fn) is not Lam:
+            fn = _norm(fn, fill)
+        if type(fn) is Lam:
+            fn = _Closure(fn, ())
+        if type(fn) is _Closure:
+            args = [_eval(a, fill) for a in t.args]
+            return _read(_apply(fn, args, fill), 0, fill)
         same = fn is t.fn
         args = []
         for a in t.args:
-            b = normalize(a)
+            b = _norm(a, fill)
             same = same and b is a
             args.append(b)
-        if isinstance(fn, Lam):
-            return normalize(app(open_bound(fn.body, args[:1]), *args[1:]))
         return t if same else app(fn, *args)
-    if isinstance(t, Up):
-        body = normalize(t.body)
-        return t if body is t.body else Up(body)
-    if isinstance(t, Down):
-        body = normalize(t.body)
-        if isinstance(body, Up):
+    if cls is Lam:
+        body = _norm(t.body, fill)
+        out = eta_lam(t.ty, body)
+        return t if body is t.body and type(out) is Lam else out
+    if cls is Up or cls is Down:
+        body = _norm(t.body, fill)
+        if cls is Down and type(body) is Up:
             return body.body
-        return t if body is t.body else Down(body)
+        return t if body is t.body else cls(body)
+    if cls is MetaVar and fill is not None:
+        return _hole(t, fill, fill.terms, _norm)
+    if isinstance(t, Term):
+        return t
     raise TypeError(f"not a term: {t!r}")
+
+
+# Evaluation works on values: terms in which an abstraction is a _Closure
+# and a variable a Bound that holds its level. Levels count binders from
+# where the evaluation began, so a loose index i at environment length n is
+# the level n - 1 - i, negative for a binder outside the evaluation; under d
+# binders of the result level l reads back as the index d - 1 - l.
+
+@dataclass(slots=True)
+class _Closure:
+    """An abstraction with the values of its loose indices, nearest first."""
+
+    lam: Lam
+    env: tuple
+
+
+def _eval(t: Term, fill: Optional[_Fill], env: tuple = ()) -> object:
+    cls = type(t)
+    if cls is Bound:
+        n = len(env)
+        return env[t.index] if t.index < n else Bound(n - 1 - t.index, t.ty)
+    if cls is App:
+        return _apply(_eval(t.fn, fill, env),
+                      [_eval(a, fill, env) for a in t.args], fill)
+    if cls is Lam:
+        return _Closure(t, env)
+    if cls is Up or cls is Down:
+        body = _eval(t.body, fill, env)
+        return body.body if cls is Down and type(body) is Up else cls(body)
+    if cls is MetaVar and fill is not None:
+        return _hole(t, fill, fill.values, _eval)
+    return t
+
+
+def _apply(fn, args: list, fill: Optional[_Fill]) -> object:
+    for i, a in enumerate(args):
+        if type(fn) is not _Closure:
+            return app(fn, *args[i:])
+        fn = _eval(fn.lam.body, fill, (a,) + fn.env)
+    return fn
+
+
+def _read(v, depth: int, fill: Optional[_Fill]) -> Term:
+    """The normal term of value v, under depth binders of the result."""
+    cls = type(v)
+    if cls is _Closure:
+        lam = v.lam
+        body = _eval(lam.body, fill, (Bound(depth, lam.ty),) + v.env)
+        return eta_lam(lam.ty, _read(body, depth + 1, fill))
+    if cls is Bound:
+        return Bound(depth - 1 - v.index, v.ty)
+    if cls is App:
+        fn = _read(v.fn, depth, fill)
+        args = [_read(a, depth, fill) for a in v.args]
+        if type(fn) is Lam:  # a ! that cancelled an eta-contracted ^
+            return _norm(app(fn, *args), None)
+        return app(fn, *args)
+    if cls is Up or cls is Down:
+        body = _read(v.body, depth, fill)
+        return body.body if cls is Down and type(body) is Up else cls(body)
+    return v
+
+
+def eta_lam(ty: SimpleType, body: Term) -> Term:
+    """\\x:ty. body for a normal body, eta-contracted when it can be.
+
+    The contracted term is never an abstraction: it is a call's head or a
+    shorter call.
+    """
+    if type(body) is App:
+        last = body.args[-1]
+        if type(last) is Bound and last.index == 0:
+            fn = _eta_lower(app(body.fn, *body.args[:-1]))
+            if fn is not None:
+                return fn
+    return Lam(ty, body)
 
 
 def _eta_lower(t: Term) -> Optional[Term]:
@@ -415,10 +533,6 @@ def canonical_key(t: Term) -> str:
     if isinstance(t, Down):
         return f"(!{canonical_key(t.body)})"
     raise TypeError(f"not a term: {t!r}")
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,17 @@ def test_every_private_helper_is_referenced():
             for helper, line in _private_definitions(tree).items()
             if helper not in read}
     assert not dead, f"unreferenced private names {dead}"
+
+
+@pytest.mark.parametrize("name", ["prover.py", "oracle.py"])
+def test_the_search_never_typechecks_a_term(name):
+    # the unifier reads a solution's type off its spine; a full typecheck
+    # on every flex solve was a measured share of the search
+    [path] = [p for p in SOURCES if p.name == name]
+    tree = ast.parse(path.read_text(), str(path))
+    checkers = {"infer_type", "typecheck"}
+    found = {n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and n.id in checkers
+             or isinstance(n, ast.Attribute) and n.attr in checkers
+             or isinstance(n, ast.alias) and n.name in checkers}
+    assert not found, f"{name} reaches a typechecker at lines {sorted(found)}"

@@ -10,7 +10,6 @@ from gluesem.glue import (
     Impl,
     PathRef,
     Tensor,
-    alpha_equal_formulas,
     parse_glue,
 )
 from gluesem.lexicon import (
@@ -80,7 +79,7 @@ def test_instantiation_matches_written_out_form(corpus, scenario_name,
     assert len(got) == 1
     want = parse_glue(EXPECTED_PREMISES[scenario_name, headword],
                       scenario.lexicon.signature)
-    assert alpha_equal_formulas(got[0], want)
+    assert got[0] == want
 
 
 def test_premise_counts_and_names_follow_attachments(corpus):

@@ -45,7 +45,6 @@ from gluesem.prover import (
     proof_json,
     prove,
     prove_theorem,
-    zonk_term,
 )
 from gluesem.terms import (
     App,
@@ -332,16 +331,16 @@ def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
     [lifted] = free_meta_vars(solution)
     assert lifted.level == m.level
     assert out.meanings[n.uid] == app(lifted, x)
-    assert normalize(zonk_term(lhs, out)) == normalize(zonk_term(rhs, out))
+    assert normalize(lhs, out.meaning) == normalize(rhs, out.meaning)
 
 
 def test_zonk_merges_a_call_that_fills_a_head():
-    # ?F(x) with ?F := find(Bill) is the one call find(Bill, x)
+    # ?F(x) with ?F := find(Bill) fills to the one call find(Bill, x)
     find = Const("find", parse_type("e -> e -> t"))
     hole = MetaVar("F", 1, parse_type("e -> t"), 1)
     x = Eigen("x", 2, E)
     subst = _Subst().bind_meaning(hole.uid, app(find, Const("Bill", E)))
-    out = zonk_term(app(hole, x), subst)
+    out = normalize(app(hole, x), subst.meaning)
     assert out == App(find, (Const("Bill", E), x))
     assert format_term(out) == "find(Bill, x)"
 
@@ -403,6 +402,16 @@ UNIFY_CASES = {
     "identical-sides": (
         _meanings(app(app(_N, _X), _Y), app(app(_N, _X), _Y)),
         lambda out, subst: out is subst, None),
+    # the type guard of _solve_flex: an argument outside the hole's domain,
+    # and a right-hand side of another type than the hole's result
+    "argument-of-another-type": (
+        _meanings(app(_M, Eigen("x", 2, ET)),
+                  app(Const("p", parse_type("(e -> t) -> t")),
+                      Eigen("x", 2, ET))),
+        lambda out, subst: out is None, None),
+    "solution-of-another-type": (
+        _meanings(app(_M, _Y), app(Const("f", parse_type("e -> e")), _Y)),
+        lambda out, subst: out is None, None),
     "projection-holes-newer-first": (
         _projs(_NEWER, _OLDER),
         lambda out, subst: out.projs == {_NEWER.uid: _OLDER}, None),
@@ -598,7 +607,7 @@ def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
     calls = []
 
     def checked(m, raw_args, rhs, subst, state):
-        assert rhs == normalize(zonk_term(rhs, subst)), format_term(rhs)
+        assert rhs == normalize(rhs, subst.meaning), format_term(rhs)
         calls.append(m)
         return real(m, raw_args, rhs, subst, state)
 
