@@ -95,8 +95,8 @@ def test_work_is_counted(corpus):
 def test_a_hypothesis_opens_in_one_pass_and_is_never_zonked(corpus,
                                                             monkeypatch):
     # a run of quantifiers, in a hypothesis or a goal, opens with one
-    # open_formula call, and the hypothesis is not zonked on the way down:
-    # the unifier zonks what it compares
+    # open_formula call, and the hypothesis's holes are not filled in on the
+    # way down: the unifier fills the holes of what it compares
     real_decide, real_enumerate = oracle._decide, oracle._enumerate
     real_open = oracle.open_formula
     counts = Counter()

@@ -601,8 +601,9 @@ def _perfbench_gen():
 
 def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
                                                         tmp_path):
-    # _solve_flex inverts its right-hand side as given, so every caller must
-    # pass one already zonked and normal under the substitution
+    # _solve_flex inverts its right-hand side as given, and _lams contracts
+    # only the solution's own binders, so every caller must pass one already
+    # normal, with the substitution's holes filled in
     real = prover._solve_flex
     calls = []
 
