@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
 from .errors import GlueError, ProverError
-from .lexicon import Scenario, load_lexicon, load_scenario, premises
+from .lexicon import Scenario, load_lexicon, load_scenario, premises, read_text
 from .oracle import oracle_enumerate
 from .prover import (
     Reading,
@@ -122,8 +122,7 @@ def _read_expected(path: Path,
 
     A corrupted line fails to parse here, loudly.
     """
-    lines = [line.strip() for line in path.read_text(encoding="utf-8")
-             .splitlines()]
+    lines = [line.strip() for line in read_text(str(path)).splitlines()]
     lines = [line for line in lines if line]
     signature = scenario.lexicon.signature
     keys = sorted(canonical_key(normalize(parse_term(line, signature)))

@@ -7,15 +7,10 @@ Bracketed syntax:
 Atomic values are quoted symbols; nested nodes carry their own label. A bare
 label in value position is a reference to a node defined elsewhere, which
 gives re-entrancy (shared structure). Cycles are rejected.
-
-A JSON mirror uses objects {"label": ..., "attrs": {...}} with plain strings
-for atomic values and {"ref": label} for re-entrant references; it is chosen
-by file extension when loading from disk.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -87,11 +82,6 @@ class FStructure:
         """Check label uniqueness and acyclicity."""
         self.nodes()
         _check_acyclic(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, FStructure):
-            return NotImplemented
-        return self.label == other.label and self.attrs == other.attrs
 
     def __repr__(self):
         return format_fstructure(self)
@@ -251,51 +241,3 @@ def format_fstructure(fs: FStructure) -> str:
 
     return render(fs)
 
-
-# ---------------------------------------------------------------------------
-# JSON mirror
-
-def fstructure_to_json(fs: FStructure) -> dict:
-    emitted: set[str] = set()
-
-    def render(node: FStructure) -> dict:
-        if node.label in emitted:
-            return {"ref": node.label}
-        emitted.add(node.label)
-        attrs = {}
-        for attr, value in node.attrs.items():
-            if isinstance(value, FStructure):
-                attrs[attr] = render(value)
-            else:
-                attrs[attr] = value
-        return {"label": node.label, "attrs": attrs}
-
-    return render(fs)
-
-
-def fstructure_from_json(data: dict) -> FStructure:
-    nodes = _Nodes()
-
-    def build(obj: dict) -> FStructure:
-        if not isinstance(obj, dict) or "label" not in obj:
-            raise FStructureSyntaxError(f"expected a node object, got {obj!r}")
-        node = nodes.new(obj["label"])
-        for attr, value in obj.get("attrs", {}).items():
-            if isinstance(value, str):
-                node.attrs[attr] = value
-            elif isinstance(value, dict) and set(value) == {"ref"}:
-                nodes.reference(node, attr, value["ref"])
-            else:
-                node.attrs[attr] = build(value)
-        return node
-
-    return nodes.link(build(data))
-
-
-def load_fstructure(path: str) -> FStructure:
-    """Load from disk; .json selects the JSON mirror, anything else text."""
-    with open(path, encoding="utf-8") as handle:
-        content = handle.read()
-    if str(path).endswith(".json"):
-        return fstructure_from_json(json.loads(content))
-    return parse_fstructure(content)

@@ -37,7 +37,6 @@ from .errors import (
     GlueSyntaxError,
     OpenVariable,
     TensorInConclusion,
-    UnboundVariable,
 )
 from .fstructure import FACETS, SemProjectionRef
 from .terms import (
@@ -48,7 +47,6 @@ from .terms import (
     normalize,
     open_bound,
     parse_term_prefix,
-    typecheck,
 )
 from .types import IDENT_RE, BaseType, Scanner, SimpleType, format_type
 
@@ -313,57 +311,6 @@ def atoms(f: Formula) -> Iterator[GlueAtom]:
             stack += reversed(f.parts)
         elif isinstance(f, Forall):
             stack.append(f.body)
-
-
-# ---------------------------------------------------------------------------
-# wellformedness
-
-def check_wellformed(f: Formula, signature: Mapping[str, SimpleType]) -> None:
-    """Validate a source-level formula.
-
-    Every meaning variable and projection variable must be bound by an
-    enclosing quantifier (constants come from the signature); each atom's
-    meaning must typecheck at exactly the atom's declared index.
-    """
-    _check(f, signature, ((), ()))
-
-
-def _check(f: Formula, env: Mapping[str, SimpleType], scope: Scope) -> None:
-    if isinstance(f, GlueAtom):
-        meanings, projs = scope
-        if isinstance(f.proj, ProjVar):
-            if f.proj.index >= len(projs):
-                raise OpenVariable(f"projection variable {f.proj!r} is not "
-                                   "bound")
-            binder = projs[f.proj.index]
-            if binder.index != f.result_type:
-                raise AtomTypeMismatch(
-                    f"{binder.name} carries {format_type(binder.index)} "
-                    "resources but the atom is indexed "
-                    f"{format_type(f.result_type)}"
-                )
-        try:
-            ty = typecheck(f.meaning, env, [v.ty for v in meanings])
-        except UnboundVariable as exc:
-            raise OpenVariable(str(exc)) from None
-        if ty != f.result_type:
-            raise AtomTypeMismatch(
-                f"meaning {format_term(f.meaning)} has type {format_type(ty)} "
-                f"but the atom is indexed {format_type(f.result_type)}"
-            )
-        return
-    if isinstance(f, Impl):
-        _check(f.left, env, scope)
-        _check(f.right, env, scope)
-        return
-    if isinstance(f, Tensor):
-        for part in f.parts:
-            _check(part, env, scope)
-        return
-    if isinstance(f, Forall):
-        _check(f.body, env, _bind(f.binders, scope))
-        return
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def parse_lexicon(text: str) -> Lexicon:
         i = 1
         while i < len(stanza):
             line = stanza[i].strip()
-            if line.startswith("glue"):
+            if line.split(None, 1)[0] == "glue":
                 glue_text = " ".join(
                     [line[len("glue"):].strip()]
                     + [l.strip() for l in stanza[i + 1:]]
@@ -160,9 +160,18 @@ def parse_lexicon(text: str) -> Lexicon:
     return lexicon
 
 
+def read_text(path: str) -> str:
+    """The contents of an input file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path} is not UTF-8: {exc.reason} at byte "
+                           f"{exc.start}") from None
+
+
 def load_lexicon(path: str) -> Lexicon:
-    with open(path, encoding="utf-8") as handle:
-        return parse_lexicon(handle.read())
+    return parse_lexicon(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +276,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Load a scenario; a declared lexicon is loaded relative to the file."""
-    with open(path, encoding="utf-8") as handle:
-        scenario = parse_scenario(handle.read())
+    scenario = parse_scenario(read_text(path))
     if scenario.lexicon_path is not None:
         base = os.path.dirname(os.path.abspath(path))
         scenario.lexicon = load_lexicon(

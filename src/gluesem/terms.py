@@ -248,13 +248,10 @@ def _shift(t: Term, by: int) -> Term:
                       if isinstance(u, Bound) and u.index >= depth else u)
 
 
-def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None,
-              outer: Sequence[SimpleType] = ()) -> SimpleType:
-    """Return the type of t; free variables must be declared in env.
-
-    outer types the binders just outside t, nearest first.
-    """
-    return _tc(t, env or {}, tuple(outer))
+def typecheck(t: Term,
+              env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
+    """Return the type of t; free variables must be declared in env."""
+    return _tc(t, env or {})
 
 
 def infer_type(t: Term) -> SimpleType:
@@ -310,28 +307,6 @@ def _tc(t: Term, env: Optional[Mapping[str, SimpleType]],
             )
         return body_ty.cod
     raise TypeError(f"not a term: {t!r}")
-
-
-def substitute(t: Term, var: Var, value: Term) -> Term:
-    """Substitute value for the occurrences of the free variable var.
-
-    Bound occurrences are indices, so no value can be captured.
-    """
-    value_ty = infer_type(value)
-    if value_ty != var.ty:
-        raise TypeMismatch(
-            f"cannot substitute {format_type(value_ty)} term for variable of "
-            f"type {format_type(var.ty)}"
-        )
-    return subst_map(t, {var.name: value})
-
-
-def subst_map(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Substitute free variables by name; the values hold no loose index."""
-    if not mapping:
-        return t
-    return map_leaves(t, lambda u, _: mapping.get(u.name, u)
-                      if isinstance(u, Var) else u)
 
 
 def type_of(t: Term) -> SimpleType:

@@ -67,6 +67,22 @@ def test_run_exits_one_on_missing_file(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def _append_a_non_utf8_byte(path):
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+@pytest.mark.parametrize("name", ["bill-left/scenario.txt", "lexicon.glue"])
+def test_run_exits_one_on_a_file_that_is_not_utf8(corpus_copy, capsys, name):
+    _append_a_non_utf8_byte(corpus_copy / name)
+    code = main(["run", str(corpus_copy / "bill-left" / "scenario.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    # the message names the file, as the scenario's lexicon line spells it
+    assert re.match(rf"error: \S*{Path(name).name} is not UTF-8: ",
+                    captured.err)
+
+
 @pytest.mark.parametrize("deep_file", ["scenario", "lexicon"])
 def test_run_reports_input_nested_3000_deep(tmp_path, corpus_dir, capsys,
                                             deep_file):
@@ -218,6 +234,19 @@ def test_batch_corrupted_expected_fails_only_that_scenario(corpus_copy,
     assert code == 1
     assert "every-man-left: FAIL" in out
     assert "5/6 scenarios pass" in out
+
+
+@pytest.mark.parametrize("name", ["scenario.txt", "expected"])
+def test_batch_fails_only_the_scenario_with_a_non_utf8_file(corpus_copy,
+                                                            capsys, name):
+    _append_a_non_utf8_byte(corpus_copy / "bill-seeks-al" / name)
+    code = main(["batch", str(corpus_copy)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert (f"bill-seeks-al: FAIL ({corpus_copy / 'bill-seeks-al' / name} "
+            "is not UTF-8") in out
+    assert "conversation: PASS" in out
+    assert out.endswith("5/6 scenarios pass\n")
 
 
 def test_batch_missing_expected_is_a_failure(corpus_copy, capsys):

@@ -1,6 +1,4 @@
-"""F-structure parsing, path resolution, and the JSON mirror."""
-
-import json
+"""F-structure parsing, printing and path resolution."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,9 +15,6 @@ from gluesem.errors import (
 from gluesem.fstructure import (
     SemProjectionRef,
     format_fstructure,
-    fstructure_from_json,
-    fstructure_to_json,
-    load_fstructure,
     parse_fstructure,
     resolve_path,
 )
@@ -124,32 +119,13 @@ def test_path_composition():
 
 
 # ---------------------------------------------------------------------------
-# printing and the JSON mirror
+# printing
 
 
 @pytest.mark.parametrize("text", [SIMPLE, NESTED])
 def test_print_parse_identity(text):
     fs = parse_fstructure(text)
     assert parse_fstructure(format_fstructure(fs)) == fs
-
-
-@pytest.mark.parametrize("text", [SIMPLE, NESTED])
-def test_json_round_trip(text):
-    fs = parse_fstructure(text)
-    mirrored = fstructure_from_json(
-        json.loads(json.dumps(fstructure_to_json(fs)))
-    )
-    assert mirrored == fs
-
-
-def test_load_selects_format_by_extension(tmp_path):
-    fs = parse_fstructure(NESTED)
-    avm = tmp_path / "conv.fs"
-    avm.write_text(format_fstructure(fs), encoding="utf-8")
-    as_json = tmp_path / "conv.json"
-    as_json.write_text(json.dumps(fstructure_to_json(fs)), encoding="utf-8")
-    assert load_fstructure(str(avm)) == fs
-    assert load_fstructure(str(as_json)) == fs
 
 
 # ---------------------------------------------------------------------------
@@ -195,4 +171,3 @@ def fstructures(draw):
 def test_random_structures_round_trip(text):
     fs = parse_fstructure(text)
     assert parse_fstructure(format_fstructure(fs)) == fs
-    assert fstructure_from_json(fstructure_to_json(fs)) == fs

@@ -13,7 +13,6 @@ from gluesem.glue import (
     Impl,
     Tensor,
     atoms,
-    check_wellformed,
     curry,
     format_glue,
     instantiate,
@@ -21,7 +20,7 @@ from gluesem.glue import (
     parse_glue,
 )
 from gluesem.fstructure import SemProjectionRef
-from gluesem.terms import Const, Var
+from gluesem.terms import Const
 from gluesem.types import E, parse_type
 
 SIG = {
@@ -68,19 +67,6 @@ def test_alpha_variants_are_equal_with_equal_hashes():
     assert h == k and hash(h) == hash(k)
     assert parse("forall X:e, Y:e. h.sig ~> find(X, Y)") != \
         parse("forall X:e, Y:e. h.sig ~> find(Y, X)")
-
-
-def test_wellformed_accepts_the_corpus_constructor_shapes():
-    for text in [LEAVE, FIND, EVERY_MAN, SEEKS]:
-        check_wellformed(parse(text), SIG)
-
-
-def test_free_meaning_variable_rejected():
-    # the text parser already refuses unknown identifiers, so build the
-    # offending atom directly
-    atom = GlueAtom(SemProjectionRef("g"), Var("X", E), E)
-    with pytest.raises(OpenVariable):
-        check_wellformed(atom, SIG)
 
 
 def test_free_projection_variable_rejected():
@@ -242,7 +228,6 @@ def test_a_3000_part_tensor_curries_as_an_antecedent():
 def test_a_3000_part_tensor_lists_its_atoms_and_checks():
     wide = parse(WIDE)
     assert list(atoms(wide)) == [parse("g.sig ~> Bill")] * 3000
-    check_wellformed(wide, SIG)
 
 
 def test_a_3000_part_tensor_opens():

@@ -66,7 +66,7 @@ def test_only_terms_app_builds_a_call():
     assert not stray, f"App(...) built outside terms.app: {stray}"
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
+def _definitions(tree: ast.Module) -> dict[str, int]:
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -78,11 +78,12 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
                 if isinstance(target, ast.Name):
                     names[target.id] = node.lineno
     return {name: line for name, line in names.items()
-            if name.startswith("_") and not name.endswith("__")}
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_private_helper_is_referenced():
-    # a private module-level name that no source module reads is dead code
+    # a module-level name that no source module reads is dead code, unless
+    # it is public and the package exports it
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in SOURCES}
     read = set()
@@ -92,11 +93,13 @@ def test_every_private_helper_is_referenced():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    exported = _exported(trees["__init__.py"])
     dead = {f"{name}:{line}": helper
             for name, tree in trees.items()
-            for helper, line in _private_definitions(tree).items()
-            if helper not in read}
-    assert not dead, f"unreferenced private names {dead}"
+            for helper, line in _definitions(tree).items()
+            if helper not in read
+            and (helper.startswith("_") or helper not in exported)}
+    assert not dead, f"unreferenced module-level names {dead}"
 
 
 @pytest.mark.parametrize("name", ["prover.py", "oracle.py"])

@@ -131,6 +131,16 @@ def test_unresolvable_template_path_is_reported():
         instantiate(_entry("finds"), "f", fs)
 
 
+def test_a_constraint_attribute_may_begin_with_glue():
+    # glue starts the template only as a whole word; it may end its line
+    lexicon = parse_lexicon("entry left\nPRED = leave\nglued = yes\n"
+                            "const leave : e -> t\nglue\n  forall X:e. "
+                            "(^ SUBJ).sig ~> X -o ^.sig ~> leave(X)\n")
+    entry = lexicon.entries["left"]
+    assert entry.constraints == {"PRED": "leave", "glued": "yes"}
+    assert entry.template == _entry("left").template
+
+
 def test_attachment_to_unknown_entry_is_an_error():
     text = """scenario tiny
 lexicon ../lexicon.glue

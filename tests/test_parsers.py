@@ -7,11 +7,13 @@ import pytest
 
 from gluesem.errors import (
     AtomTypeMismatch,
+    ExtensionOfNonIntension,
     FStructureSyntaxError,
     GlueError,
     GlueSyntaxError,
     OpenVariable,
     TermSyntaxError,
+    TypeMismatch,
 )
 from gluesem.fstructure import parse_fstructure
 from gluesem.glue import parse_glue
@@ -78,6 +80,13 @@ ERRORS = [
      "unknown type syntax at 'q). X ~>' (at offset 14)"),
     ("glue", "g.sig ~> Bill )", GlueSyntaxError,
      "trailing input ')' (at offset 14)"),
+    # meanings are typechecked as they are read: no ill-typed atom is built
+    ("glue", "g.sig ~> leave(leave)", TypeMismatch,
+     "argument type e -> t does not match domain e"),
+    ("glue", "forall X:e. g.sig ~> X(Bill)", TypeMismatch,
+     "cannot apply term of type e"),
+    ("glue", "g.sig ~> !Bill", ExtensionOfNonIntension,
+     "! applied to term of type e"),
     ("fs", "1:[]", FStructureSyntaxError, "expected a node label (at offset 0)"),
     ("fs", "f [PRED 'x']", FStructureSyntaxError,
      "expected ':' after label f (at offset 2)"),

@@ -30,8 +30,6 @@ from gluesem.terms import (
     normalize,
     open_bound,
     parse_term,
-    subst_map,
-    substitute,
     type_of,
     typecheck,
 )
@@ -102,26 +100,7 @@ def test_env_disagreeing_with_annotation_is_an_error():
 
 
 # ---------------------------------------------------------------------------
-# substitution
-
-
-def test_substitute_into_application():
-    X = Var("X", E)
-    assert substitute(app(LEAVE, X), X, BILL) == app(LEAVE, BILL)
-
-
-def test_substitute_ignores_bound_variable():
-    identity = lam(Var("x", E), Var("x", E))
-    assert substitute(identity, Var("y", E), BILL) == identity
-
-
-def test_substitution_avoids_capture():
-    # \x. find(x, y) with y := x must rename the binder, not capture
-    x, y = Var("x", E), Var("y", E)
-    term = lam(x, app(Const("find", arrow(E, E, T)), x, y))
-    out = substitute(term, y, x)
-    z = Var("z", E)
-    assert out == lam(z, app(Const("find", arrow(E, E, T)), z, x))
+# abstraction
 
 
 def test_lam_over_an_open_body_shifts_its_loose_index():
@@ -131,11 +110,6 @@ def test_lam_over_an_open_body_shifts_its_loose_index():
     inner = parse_term("\\y:e. find(x, y)", SIG, {"x": E})
     rebuilt = Lam(inner.ty, lam(x, inner.body))
     assert rebuilt == parse_term("\\y:e. \\x:e. find(x, y)", SIG)
-
-
-def test_substitute_rejects_wrong_type():
-    with pytest.raises(TypeMismatch):
-        substitute(Var("X", E), Var("X", E), LEAVE)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +387,13 @@ def open_term_with_filler(draw):
     ty = draw(st.sampled_from(_TYPE_POOL))
     body = _gen_term(draw, ty, [hole], draw(st.integers(0, 3)))
     value = _gen_term(draw, hole_ty, [], draw(st.integers(0, 3)))
-    return body, value
+    return hole, body, value
 
 
 @settings(max_examples=200, deadline=None)
 @given(open_term_with_filler())
-def test_substitution_commutes_with_normalization(pair):
-    body, value = pair
-    direct = normalize(subst_map(body, {"hole": value}))
-    staged = normalize(subst_map(normalize(body), {"hole": normalize(value)}))
+def test_substitution_commutes_with_normalization(case):
+    hole, body, value = case
+    direct = normalize(app(lam(hole, body), value))
+    staged = normalize(app(lam(hole, normalize(body)), normalize(value)))
     assert direct == staged
