@@ -56,21 +56,32 @@ class FStructure:
     attrs: dict[str, Union[str, "FStructure"]] = field(default_factory=dict)
 
     def nodes(self) -> dict[str, "FStructure"]:
-        """All reachable nodes by label; validates label uniqueness."""
-        seen: dict[str, FStructure] = {}
-        self._collect(seen)
-        return seen
+        """All reachable nodes by label, in pre-order.
 
-    def _collect(self, seen: dict[str, "FStructure"]) -> None:
-        known = seen.get(self.label)
-        if known is self:
-            return
-        if known is not None:
-            raise DuplicateLabel(f"label {self.label} used for two distinct nodes")
-        seen[self.label] = self
-        for value in self.attrs.values():
-            if isinstance(value, FStructure):
-                value._collect(seen)
+        One walk over an explicit stack, so a long chain of references needs
+        no recursion. It checks that labels are unique and that no node
+        reaches itself: a node seen again must be done, not on the path.
+        """
+        seen: dict[str, FStructure] = {self.label: self}
+        done: set[str] = set()
+        stack = [(self, iter(self.attrs.values()))]
+        while stack:
+            node, rest = stack[-1]
+            child = next((v for v in rest if isinstance(v, FStructure)), None)
+            if child is None:
+                done.add(node.label)
+                stack.pop()
+                continue
+            known = seen.get(child.label)
+            if known is None:
+                seen[child.label] = child
+                stack.append((child, iter(child.attrs.values())))
+            elif known is not child:
+                raise DuplicateLabel(
+                    f"label {child.label} used for two distinct nodes")
+            elif child.label not in done:
+                raise CyclicStructure(f"cycle through node {child.label}")
+        return seen
 
     def node(self, label: str) -> "FStructure":
         found = self.nodes().get(label)
@@ -81,29 +92,9 @@ class FStructure:
     def validate(self) -> None:
         """Check label uniqueness and acyclicity."""
         self.nodes()
-        _check_acyclic(self)
 
     def __repr__(self):
         return format_fstructure(self)
-
-
-def _check_acyclic(root: FStructure) -> None:
-    on_stack: set[int] = set()
-    done: set[int] = set()
-
-    def visit(node: FStructure) -> None:
-        if id(node) in done:
-            return
-        if id(node) in on_stack:
-            raise CyclicStructure(f"cycle through node {node.label}")
-        on_stack.add(id(node))
-        for value in node.attrs.values():
-            if isinstance(value, FStructure):
-                visit(value)
-        on_stack.discard(id(node))
-        done.add(id(node))
-
-    visit(root)
 
 
 def resolve_path(root: FStructure, path: Sequence[str],
@@ -131,43 +122,14 @@ def resolve_path(root: FStructure, path: Sequence[str],
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-class _Nodes:
-    """The labeled nodes of one structure being read, and its references."""
-
-    def __init__(self):
-        self.defined: dict[str, FStructure] = {}
-        self.pending: list[tuple[FStructure, str, str]] = []
-
-    def new(self, label: str) -> FStructure:
-        if label in self.defined:
-            raise DuplicateLabel(f"label {label} defined twice")
-        node = self.defined[label] = FStructure(label)
-        return node
-
-    def reference(self, node: FStructure, attr: str, label: str) -> None:
-        """A re-entrant value, linked to its node once all are read."""
-        node.attrs[attr] = label
-        self.pending.append((node, attr, label))
-
-    def link(self, root: FStructure) -> FStructure:
-        for node, attr, label in self.pending:
-            target = self.defined.get(label)
-            if target is None:
-                raise UnknownLabel(
-                    f"attribute {attr} of {node.label} references undefined "
-                    f"label {label}"
-                )
-            node.attrs[attr] = target
-        root.validate()
-        return root
-
-
 class _FsParser(Scanner):
     syntax_error = FStructureSyntaxError
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.nodes = _Nodes()
+        self.defined: dict[str, FStructure] = {}
+        # re-entrant values, linked to their nodes once all are read
+        self.pending: list[tuple[FStructure, str, str]] = []
 
     def node(self, label: str) -> FStructure:
         """The bracketed node after its label."""
@@ -175,7 +137,9 @@ class _FsParser(Scanner):
             raise self.error(f"expected ':' after label {label}")
         self.pos += 1
         self.expect("[")
-        node = self.nodes.new(label)
+        if label in self.defined:
+            raise DuplicateLabel(f"label {label} defined twice")
+        node = self.defined[label] = FStructure(label)
         if self.peek() == "]":
             self.pos += 1
             return node
@@ -215,13 +179,23 @@ class _FsParser(Scanner):
             self.depth -= 1
         else:
             # bare label: re-entrant reference, resolved after the full parse
-            self.nodes.reference(node, attr, label)
+            node.attrs[attr] = label
+            self.pending.append((node, attr, label))
 
 
 def parse_fstructure(text: str) -> FStructure:
     parser = _FsParser(text)
-    root = parser.node(parser.ident(_LABEL_RE, "a node label"))
-    return parser.nodes.link(parser.finish(root))
+    root = parser.finish(parser.node(parser.ident(_LABEL_RE, "a node label")))
+    for node, attr, label in parser.pending:
+        target = parser.defined.get(label)
+        if target is None:
+            raise UnknownLabel(
+                f"attribute {attr} of {node.label} references undefined "
+                f"label {label}"
+            )
+        node.attrs[attr] = target
+    root.validate()
+    return root
 
 
 def format_fstructure(fs: FStructure) -> str:

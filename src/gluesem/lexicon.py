@@ -120,13 +120,20 @@ def parse_lexicon(text: str) -> Lexicon:
         i = 1
         while i < len(stanza):
             line = stanza[i].strip()
-            if line.split(None, 1)[0] == "glue":
+            m = _CONSTRAINT_RE.match(line)  # first: glue = yes is a constraint
+            if m:
+                if m.group(1) in constraints:
+                    raise LexiconError(
+                        f"constraint {m.group(1)} repeated in {headword}"
+                    )
+                constraints[m.group(1)] = m.group(2)
+            elif line.split(None, 1)[0] == "glue":
                 glue_text = " ".join(
                     [line[len("glue"):].strip()]
                     + [l.strip() for l in stanza[i + 1:]]
                 )
                 break
-            if line.startswith("const "):
+            elif line.startswith("const "):
                 name, _, ty_text = line[len("const "):].partition(":")
                 name = name.strip()
                 ty = parse_type(ty_text.strip())
@@ -138,16 +145,9 @@ def parse_lexicon(text: str) -> Lexicon:
                     )
                 lexicon.signature[name] = ty
             else:
-                m = _CONSTRAINT_RE.match(line)
-                if not m:
-                    raise LexiconError(
-                        f"unrecognized line in entry {headword}: {line!r}"
-                    )
-                if m.group(1) in constraints:
-                    raise LexiconError(
-                        f"constraint {m.group(1)} repeated in {headword}"
-                    )
-                constraints[m.group(1)] = m.group(2)
+                raise LexiconError(
+                    f"unrecognized line in entry {headword}: {line!r}"
+                )
             i += 1
         if glue_text is None:
             raise LexiconError(f"entry {headword} has no glue template")

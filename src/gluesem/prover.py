@@ -1,8 +1,9 @@
 """Backward proof search over glue formulas.
 
 The search is goal directed with an input-output context discipline: proving
-a subgoal consumes some of the linear resources and hands the rest back. At
-an atomic goal the prover uses one context formula as a clause: it strips
+a subgoal consumes some of the linear resources and hands the rest back. A
+context is an int bit mask over one slot table of premises and hypotheses.
+At an atomic goal the prover uses one context entry as a clause: it strips
 the quantifiers into metavariables, opens and unifies only the head, then
 proves the antecedents left to right, opening each when it is reached.
 Opening is one substitution pass for all the metavariables. Nothing is
@@ -159,9 +160,15 @@ class _State:
         self.limits = limits
         self.stats = stats
         self.counter = itertools.count(1)
+        self.slots: list[Formula] = []  # a context's entry i is bit 1 << i
 
     def fresh(self) -> int:
         return next(self.counter)
+
+    def add(self, f: Formula) -> int:
+        self.fresh()  # every entry takes a uid, as printed uids count them
+        self.slots.append(f)
+        return 1 << (len(self.slots) - 1)
 
 
 class _Subst:
@@ -479,23 +486,23 @@ def _unify_atoms(goal: GlueAtom, head: GlueAtom, subst: _Subst,
 # ---------------------------------------------------------------------------
 # focused search
 
-_Ctx = tuple[tuple[int, Formula], ...]
-
-
 @dataclass
 class _SNode:
     kind: str
-    consumed: frozenset[int]
+    consumed: int  # the slots the subproof uses
     eigen: Optional[Union[Eigen, ProjEigen]] = None
-    hyp_id: Optional[int] = None
-    entry_id: Optional[int] = None
+    entry: int = 0  # the focused entry's or the hypothesis's slot bit
     insts: tuple = ()
     ants: tuple["_SNode", ...] = ()
     child: Optional["_SNode"] = None
 
 
-def _ids(ctx: _Ctx) -> frozenset[int]:
-    return frozenset(i for i, _ in ctx)
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
 
 def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
@@ -530,8 +537,8 @@ def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
     return ProjEigen(binder.name, uid, binder.index)
 
 
-def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
-           state: _State) -> Iterator[tuple[_Subst, _Ctx, _SNode]]:
+def _solve(ctx: int, goal: Formula, subst: _Subst, depth: int,
+           state: _State) -> Iterator[tuple[_Subst, int, _SNode]]:
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
@@ -547,28 +554,23 @@ def _solve(ctx: _Ctx, goal: Formula, subst: _Subst, depth: int,
             yield out, ctx_out, node
         return
     if isinstance(goal, Impl):
-        hyp_id = state.fresh()
-        extended = ctx + ((hyp_id, goal.left),)
-        for out, ctx_out, node in _solve(extended, goal.right, subst,
+        hyp = state.add(goal.left)
+        for out, ctx_out, node in _solve(ctx | hyp, goal.right, subst,
                                          depth + 1, state):
-            if hyp_id in _ids(ctx_out):
+            if ctx_out & hyp:
                 continue  # the hypothesis must be consumed
-            yield out, ctx_out, _SNode(
-                "impl_right", node.consumed - {hyp_id}, hyp_id=hyp_id,
-                child=node
-            )
+            yield out, ctx_out, _SNode("impl_right", ctx & ~ctx_out,
+                                       entry=hyp, child=node)
         return
     if not isinstance(goal, GlueAtom):
         raise TypeError(f"not a formula: {goal!r}")
-    for i in range(len(ctx)):
-        fid, f = ctx[i]
-        rest = ctx[:i] + ctx[i + 1:]
-        yield from _focus(fid, f, rest, goal, subst, depth + 1, state)
+    for bit in _bits(ctx):
+        yield from _focus(bit, ctx ^ bit, goal, subst, depth + 1, state)
 
 
-def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
-           depth: int, state: _State) -> Iterator[tuple[_Subst, _Ctx, _SNode]]:
-    """Use context entry f on the atomic goal, as a clause.
+def _focus(entry: int, ctx: int, goal: GlueAtom, subst: _Subst, depth: int,
+           state: _State) -> Iterator[tuple[_Subst, int, _SNode]]:
+    """Use the entry whose slot bit is entry on the atomic goal, as a clause.
 
     The head is opened and unified first, so an entry whose head cannot
     match costs one atom; each antecedent is opened when it is reached.
@@ -576,7 +578,8 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
-    insts, meanings, projs, f = _holes(f, _solve_goal_hole, state)
+    insts, meanings, projs, f = _holes(
+        state.slots[entry.bit_length() - 1], _solve_goal_hole, state)
     antecedents: list[Formula] = []
     while isinstance(f, Impl):
         antecedents.append(f.left)
@@ -587,16 +590,13 @@ def _focus(fid: int, f: Formula, ctx: _Ctx, goal: GlueAtom, subst: _Subst,
         return
 
     def prove_antecedents(
-        index: int, ctx_cur: _Ctx, subst_cur: _Subst,
+        index: int, ctx_cur: int, subst_cur: _Subst,
         done: tuple[_SNode, ...],
-    ) -> Iterator[tuple[_Subst, _Ctx, _SNode]]:
+    ) -> Iterator[tuple[_Subst, int, _SNode]]:
         if index == len(antecedents):
-            consumed = frozenset({fid}).union(*(n.consumed for n in done)) \
-                if done else frozenset({fid})
-            yield subst_cur, ctx_cur, _SNode(
-                "focus", consumed, entry_id=fid, insts=tuple(insts),
-                ants=done
-            )
+            yield subst_cur, ctx_cur, _SNode("focus", entry | ctx & ~ctx_cur,
+                                             entry=entry, insts=tuple(insts),
+                                             ants=done)
             return
         antecedent = open_formula(antecedents[index], meanings, projs)
         for out, ctx_out, node in _solve(ctx_cur, antecedent, subst_cur,
@@ -614,13 +614,13 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
             subst: _Subst) -> Proof:
     """Rebuild the ground derivation a search node records.
 
-    ctx maps entry ids to ground formulas; introducing an implication adds
+    ctx maps slot bits to ground formulas; introducing an implication adds
     its hypothesis. A focused entry is shown at each stage of its
     decomposition, with its meanings normalized, without being written back.
     """
-    def sequent(ids: frozenset[int], focused: Optional[Formula] = None):
-        return Sequent(tuple(focused if i == node.entry_id else ctx[i]
-                             for i in sorted(ids)), goal)
+    def sequent(mask: int, focused: Optional[Formula] = None):
+        return Sequent(tuple(focused if bit == node.entry else ctx[bit]
+                             for bit in _bits(mask)), goal)
 
     if node.kind == "forall_right":
         seq = sequent(node.consumed)
@@ -628,26 +628,26 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
         return Proof("forall_right", seq, (child,), eigen=node.eigen)
     if node.kind == "impl_right":
         seq = sequent(node.consumed)
-        ctx[node.hyp_id] = goal.left
+        ctx[node.entry] = goal.left
         child = _replay(node.child, ctx, goal.right, subst)
         return Proof("impl_right", seq, (child,))
     if node.kind != "focus":
         raise ValueError(f"unknown search node {node.kind}")
-    f, ids = ctx[node.entry_id], node.consumed
+    f, mask = ctx[node.entry], node.consumed
     chain: list[Proof] = []  # forall_left* then impl_left*, top down
     for hole in node.insts:
         value = _ground_term(hole, subst) if isinstance(hole, MetaVar) \
             else _ground_proj(hole, subst)
-        chain.append(Proof("forall_left", sequent(ids, f),
+        chain.append(Proof("forall_left", sequent(mask, f),
                            instantiation=value))
         f = normalize_meanings(instantiate(f, value))
     for ant in node.ants:
-        seq = sequent(ids, f)
+        seq = sequent(mask, f)
         left = _replay(ant, ctx, f.left, subst)
         chain.append(Proof("impl_left", seq, (left,)))
-        ids -= ant.consumed
+        mask &= ~ant.consumed
         f = f.right
-    proof = Proof("axiom", sequent(ids, f))
+    proof = Proof("axiom", sequent(mask, f))
     for step in reversed(chain):
         step.children += (proof,)
         proof = step
@@ -689,19 +689,19 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
                  stats: Optional[SearchStats]):
     """Search, keeping each result that uses every premise.
 
-    Returns the prepared premises by entry id and, per result, its ground
-    goal, substitution and search node. An empty result after a unification
+    Returns the prepared premises, slots 0 to n - 1, and per result its
+    ground goal, substitution and search node. An empty result after a
     problem outside the pattern fragment may be incomplete, so it raises.
     """
     stats = stats if stats is not None else SearchStats()
     state = _State(limits or SearchLimits(), stats)
     goal_formula = _prepare_goal(goal, state)
-    initial = {state.fresh(): f for f in prepare_premises(premises)}
+    initial = prepare_premises(premises)
+    ctx = sum(state.add(f) for f in initial)
     results = [
         (ground_formula(goal_formula, subst), subst, node)
-        for subst, ctx_out, node in _solve(tuple(initial.items()),
-                                           goal_formula, _Subst(), 0, state)
-        if not ctx_out  # linear logic: every premise must be used
+        for subst, rest, node in _solve(ctx, goal_formula, _Subst(), 0, state)
+        if not rest  # linear logic: every premise must be used
     ]
     stats.proofs_found = len(results)
     if not results and stats.nonpattern is not None:
@@ -712,9 +712,9 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
     return initial, results
 
 
-def _proof(initial: dict[int, Formula], goal: Formula, subst: _Subst,
+def _proof(initial: list[Formula], goal: Formula, subst: _Subst,
            node: _SNode) -> Proof:
-    ctx = {fid: ground_formula(f, subst) for fid, f in initial.items()}
+    ctx = {1 << i: ground_formula(f, subst) for i, f in enumerate(initial)}
     return _replay(node, ctx, goal, subst)
 
 

@@ -249,6 +249,27 @@ def test_batch_fails_only_the_scenario_with_a_non_utf8_file(corpus_copy,
     assert out.endswith("5/6 scenarios pass\n")
 
 
+def test_batch_goes_on_past_a_3000_link_chain_of_references(tmp_path,
+                                                            corpus_dir,
+                                                            capsys):
+    # every node is nested 2 deep, so only the chain is long
+    shutil.copy(corpus_dir / "lexicon.glue", tmp_path)
+    shutil.copytree(corpus_dir / "bill-left", tmp_path / "bill-left")
+    links = "".join(f", X{i} a{i}:[N a{i + 1}]" for i in range(3000))
+    chain = tmp_path / "a-chain"
+    chain.mkdir()
+    (chain / "scenario.txt").write_text(
+        "scenario a-chain\nlexicon ../lexicon.glue\nfstructure "
+        f"f:[PRED 'leave', SUBJ g:[PRED 'Bill']{links}, X3000 a3000:[]]\n"
+        "attach Bill -> g\nattach left -> f\ngoal f\n", encoding="utf-8")
+    (chain / "expected").write_text("leave(Bill)\n", encoding="utf-8")
+    code = main(["batch", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "a-chain: PASS" in out
+    assert out.endswith("2/2 scenarios pass\n")
+
+
 def test_batch_missing_expected_is_a_failure(corpus_copy, capsys):
     (corpus_copy / "bill-finds-al" / "expected").unlink()
     code = main(["batch", str(corpus_copy)])

@@ -13,6 +13,7 @@ from gluesem.errors import (
     UnknownLabel,
 )
 from gluesem.fstructure import (
+    FStructure,
     SemProjectionRef,
     format_fstructure,
     parse_fstructure,
@@ -68,6 +69,33 @@ def test_reentrancy_shares_one_node():
 def test_cycle_rejected():
     with pytest.raises(CyclicStructure):
         parse_fstructure("f:[SUBJ g:[OBJ f]]")
+
+
+def chain(n, last="[]"):
+    """Node a_i under attribute X_i of f refers to a_{i+1}: each node is
+    nested 2 deep, but the references chain n + 1 of them."""
+    links = "".join(f"X{i} a{i}:[N a{i + 1}], " for i in range(n))
+    return f"f:[{links}X{n} a{n}:{last}]"
+
+
+def test_a_3000_link_chain_of_references_needs_no_recursion():
+    fs = parse_fstructure(chain(3000))
+    assert len(fs.nodes()) == 3002
+    assert fs.node("a0").attrs["N"] is fs.node("a1")
+    assert fs.node("a2999").attrs["N"] is fs.attrs["X3000"]
+    fs.validate()
+
+
+def test_a_3000_link_cycle_is_rejected():
+    with pytest.raises(CyclicStructure, match="cycle through node a0"):
+        parse_fstructure(chain(3000, last="[N a0]"))
+
+
+def test_two_nodes_under_one_label_are_rejected():
+    fs = FStructure("f", {"SUBJ": FStructure("g"), "OBJ": FStructure("g")})
+    with pytest.raises(DuplicateLabel,
+                       match="label g used for two distinct nodes"):
+        fs.validate()
 
 
 def test_reference_to_missing_label_rejected():

@@ -141,6 +141,18 @@ def test_a_constraint_attribute_may_begin_with_glue():
     assert entry.template == _entry("left").template
 
 
+@pytest.mark.parametrize("line", ["glue = yes", "const = yes"])
+def test_a_constraint_attribute_may_be_a_keyword(line):
+    # an attribute named glue or const, with spaces around =, is a
+    # constraint, not the template or a declaration
+    lexicon = parse_lexicon(f"entry left\nPRED = leave\n{line}\n"
+                            "const leave : e -> t\nglue forall X:e. "
+                            "(^ SUBJ).sig ~> X -o ^.sig ~> leave(X)\n")
+    entry = lexicon.entries["left"]
+    assert entry.constraints == {"PRED": "leave", line.split()[0]: "yes"}
+    assert entry.template == _entry("left").template
+
+
 def test_attachment_to_unknown_entry_is_an_error():
     text = """scenario tiny
 lexicon ../lexicon.glue

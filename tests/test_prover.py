@@ -626,6 +626,21 @@ def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
     assert calls
 
 
+def test_every_proof_of_a_scope_k4_scenario_replays_and_checks(tmp_path):
+    # the scope-k workload never reads a proof; here all 24 readings of one
+    # seeded scenario replay a proof of their own meaning that checks
+    files, [(path, _)] = _perfbench_gen().scope_inputs(1, 4, 1)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    scenario = load_scenario(str(tmp_path / path))
+    prems = lexicon_premises(scenario, scenario.lexicon)
+    readings = derive_readings(prems, scenario.goal)
+    assert len(readings) == 24
+    for reading in readings:
+        assert reading.proof.sequent.goal.meaning == reading.meaning
+        check_proof(reading.proof, premises=prems, goal=scenario.goal)
+
+
 # ---------------------------------------------------------------------------
 # proof rendering
 
