@@ -93,6 +93,27 @@ class FStructure:
         """Check label uniqueness and acyclicity."""
         self.nodes()
 
+    def __eq__(self, other):
+        """Equal labels and values, over an explicit stack of node pairs."""
+        if not isinstance(other, FStructure):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.label != b.label or a.attrs.keys() != b.attrs.keys():
+                return False
+            for attr, x in a.attrs.items():
+                y = b.attrs[attr]
+                if isinstance(x, FStructure) and isinstance(y, FStructure):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __repr__(self):
         return format_fstructure(self)
 
@@ -199,19 +220,21 @@ def parse_fstructure(text: str) -> FStructure:
 
 
 def format_fstructure(fs: FStructure) -> str:
+    """The bracketed text, written over an explicit stack of nodes and the
+    text between them; a node met again prints as its label."""
     printed: set[str] = set()
-
-    def render(node: FStructure) -> str:
-        if node.label in printed:
-            return node.label
+    out: list[str] = []
+    stack: list[Union[str, FStructure]] = [fs]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str) or node.label in printed:
+            out.append(node if isinstance(node, str) else node.label)
+            continue
         printed.add(node.label)
-        parts = []
+        parts: list[Union[str, FStructure]] = [f"{node.label}:["]
         for attr, value in node.attrs.items():
-            if isinstance(value, FStructure):
-                parts.append(f"{attr} {render(value)}")
-            else:
-                parts.append(f"{attr} '{value}'")
-        return f"{node.label}:[{', '.join(parts)}]"
-
-    return render(fs)
-
+            sep = ", " if len(parts) > 1 else ""
+            parts += ([f"{sep}{attr} ", value] if isinstance(value, FStructure)
+                      else [f"{sep}{attr} '{value}'"])
+        stack += reversed(parts + ["]"])
+    return "".join(out)

@@ -30,6 +30,7 @@ Scenario files name an analysis to run:
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
@@ -85,27 +86,13 @@ _CONSTRAINT_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)\s*=\s*(\S+)$")
 
 
 def _strip_comments(text: str) -> list[str]:
-    lines = []
-    for line in text.splitlines():
-        if "#" in line:
-            line = line[:line.index("#")]
-        lines.append(line.rstrip())
-    return lines
+    return [line.partition("#")[0].rstrip() for line in text.splitlines()]
 
 
 def parse_lexicon(text: str) -> Lexicon:
-    lines = _strip_comments(text)
-    stanzas: list[list[str]] = []
-    current: list[str] = []
-    for line in lines:
-        if line.strip():
-            current.append(line)
-        elif current:
-            stanzas.append(current)
-            current = []
-    if current:
-        stanzas.append(current)
-
+    # stanzas are runs of nonblank lines
+    stanzas = [list(run) for nonblank, run in
+               itertools.groupby(_strip_comments(text), key=bool) if nonblank]
     lexicon = Lexicon()
     raw: list[tuple[str, dict[str, str], str]] = []
     for stanza in stanzas:
@@ -223,14 +210,13 @@ _KEYWORDS = ("scenario", "lexicon", "fstructure", "attach", "goal")
 
 
 def parse_scenario(text: str) -> Scenario:
-    lines = [l for l in _strip_comments(text)]
     name: Optional[str] = None
     lexicon_path: Optional[str] = None
     fs_text: Optional[list[str]] = None
     attachments: list[tuple[str, str]] = []
     goal: Optional[str] = None
     collecting_fs = False
-    for line in lines:
+    for line in _strip_comments(text):
         stripped = line.strip()
         if not stripped:
             continue

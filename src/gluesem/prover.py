@@ -5,7 +5,9 @@ a subgoal consumes some of the linear resources and hands the rest back. A
 context is an int bit mask over one slot table of premises and hypotheses.
 At an atomic goal the prover uses one context entry as a clause: it strips
 the quantifiers into metavariables, opens and unifies only the head, then
-proves the antecedents left to right, opening each when it is reached.
+proves the antecedents left to right, opening each when it is reached. A
+head index over the slots offers only entries whose head may match and
+that have a producer left for each atomic antecedent of literal projection.
 Opening is one substitution pass for all the metavariables. Nothing is
 filled in up front: unification hands each side to normalize with the
 substitution, which fills the bound holes and normalizes in one pass, and a
@@ -28,6 +30,7 @@ fragment are reported rather than searched.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -85,10 +88,10 @@ class SearchLimits:
     max_depth bounds the rule applications along any one branch; the search
     itself terminates structurally, so the bound is a safety valve and
     hitting it is reported, not raised. typed_scope enforces the atom index
-    check during unification; turning it off makes the prover attempt
-    ill-indexed combinations (they still fail, on the meaning types, which
-    the unifier reads off each side's spine) and is only useful for
-    observing that the index discipline does real work.
+    check in the head index and in unification; turning it off makes the
+    prover attempt ill-indexed combinations (they still fail, on the
+    meaning types, which the unifier reads off each side's spine) and is
+    only useful for observing that the index discipline does real work.
     """
 
     max_depth: int = 64
@@ -155,20 +158,47 @@ class Reading:
 # ---------------------------------------------------------------------------
 # search state
 
+_LITERAL = (SemProjectionRef, ProjEigen)  # one projection for the search
+
+
 class _State:
     def __init__(self, limits: SearchLimits, stats: SearchStats):
         self.limits = limits
         self.stats = stats
         self.counter = itertools.count(1)
         self.slots: list[Formula] = []  # a context's entry i is bit 1 << i
+        # the head index: slot masks by literal head projection (None for
+        # any other) and by head type; per slot, its atomic antecedents'
+        # literal projections and types
+        self.by_proj: dict[Optional[Proj], int] = defaultdict(int)
+        self.by_type: dict[SimpleType, int] = defaultdict(int)
+        self.needs: list[tuple[tuple[Proj, SimpleType], ...]] = []
 
     def fresh(self) -> int:
         return next(self.counter)
 
     def add(self, f: Formula) -> int:
         self.fresh()  # every entry takes a uid, as printed uids count them
+        bit = 1 << len(self.slots)
         self.slots.append(f)
-        return 1 << (len(self.slots) - 1)
+        needs, f = [], f.body if isinstance(f, Forall) else f
+        while isinstance(f, Impl):
+            if isinstance(f.left, GlueAtom) \
+                    and isinstance(f.left.proj, _LITERAL):
+                needs.append((f.left.proj, f.left.result_type))
+            f = f.right
+        self.needs.append(tuple(needs))
+        self.by_proj[f.proj if isinstance(f.proj, _LITERAL) else None] |= bit
+        self.by_type[f.result_type] |= bit
+        return bit
+
+    def candidates(self, proj: Proj, ty: SimpleType) -> int:
+        """The slots whose head may match an atom of proj and type ty."""
+        heads = self.by_proj[None] | self.by_proj.get(proj, 0) \
+            if isinstance(proj, _LITERAL) else -1  # a hole matches any head
+        if self.limits.typed_scope:
+            heads &= self.by_type.get(ty, 0)
+        return heads
 
 
 class _Subst:
@@ -256,9 +286,7 @@ def _unify(a: Term, b: Term, subst: _Subst, state: _State) -> Optional[_Subst]:
         eigen = Eigen("x", state.fresh(), ty)
         return _unify(normalize(app(a, eigen)), normalize(app(b, eigen)),
                       subst, state)
-    if isinstance(a, Up) and isinstance(b, Up):
-        return _unify(a.body, b.body, subst, state)
-    if isinstance(a, Down) and isinstance(b, Down):
+    if type(a) is type(b) and isinstance(a, (Up, Down)):
         return _unify(a.body, b.body, subst, state)
     if aas or bas:
         if len(aas) != len(bas):
@@ -564,16 +592,22 @@ def _solve(ctx: int, goal: Formula, subst: _Subst, depth: int,
         return
     if not isinstance(goal, GlueAtom):
         raise TypeError(f"not a formula: {goal!r}")
-    for bit in _bits(ctx):
-        yield from _focus(bit, ctx ^ bit, goal, subst, depth + 1, state)
+    # skip an entry with an atomic antecedent that nothing left can produce:
+    # a context only shrinks past a proved antecedent, so none will appear
+    for bit in _bits(ctx & state.candidates(zonk_proj(goal.proj, subst),
+                                            goal.result_type)):
+        rest = ctx ^ bit
+        if all(rest & state.candidates(*need)
+               for need in state.needs[bit.bit_length() - 1]):
+            yield from _focus(bit, rest, goal, subst, depth + 1, state)
 
 
 def _focus(entry: int, ctx: int, goal: GlueAtom, subst: _Subst, depth: int,
            state: _State) -> Iterator[tuple[_Subst, int, _SNode]]:
     """Use the entry whose slot bit is entry on the atomic goal, as a clause.
 
-    The head is opened and unified first, so an entry whose head cannot
-    match costs one atom; each antecedent is opened when it is reached.
+    The head is opened and unified first, so an entry whose head fails
+    costs one atom; each antecedent is opened when it is reached.
     """
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
@@ -689,9 +723,10 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
                  stats: Optional[SearchStats]):
     """Search, keeping each result that uses every premise.
 
-    Returns the prepared premises, slots 0 to n - 1, and per result its
-    ground goal, substitution and search node. An empty result after a
-    problem outside the pattern fragment may be incomplete, so it raises.
+    Returns the prepared premises, slots 0 to n - 1, per result its ground
+    goal, substitution and search node, and the stats. An empty result
+    after a problem outside the pattern fragment may be incomplete, so it
+    raises.
     """
     stats = stats if stats is not None else SearchStats()
     state = _State(limits or SearchLimits(), stats)
@@ -709,7 +744,7 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
             "search failed and hit a unification problem outside the "
             f"pattern fragment: {stats.nonpattern}"
         )
-    return initial, results
+    return initial, results, stats
 
 
 def _proof(initial: list[Formula], goal: Formula, subst: _Subst,
@@ -723,7 +758,7 @@ def prove(premises: Sequence[Union[Premise, Formula]],
           limits: Optional[SearchLimits] = None,
           stats: Optional[SearchStats] = None) -> list[Proof]:
     """All cut-free derivations of the goal that use every premise once."""
-    initial, results = _derivations(premises, goal, limits, stats)
+    initial, results, _ = _derivations(premises, goal, limits, stats)
     return [_proof(initial, *result) for result in results]
 
 
@@ -732,8 +767,7 @@ def derive_readings(premises: Sequence[Union[Premise, Formula]],
                     limits: Optional[SearchLimits] = None,
                     stats: Optional[SearchStats] = None) -> list[Reading]:
     """Distinct normalized meanings derivable for a projection."""
-    stats = stats if stats is not None else SearchStats()
-    initial, results = _derivations(premises, goal, limits, stats)
+    initial, results, stats = _derivations(premises, goal, limits, stats)
     by_key: dict[str, Reading] = {}
     for ground_goal, subst, node in results:
         key = canonical_key(ground_goal.meaning)
@@ -748,13 +782,10 @@ def prove_theorem(goal: Formula,
                   limits: Optional[SearchLimits] = None,
                   stats: Optional[SearchStats] = None) -> Proof:
     """Prove a closed formula from no premises; the first proof found."""
-    own_stats = stats if stats is not None else SearchStats()
-    initial, results = _derivations((), goal, limits, own_stats)
+    initial, results, stats = _derivations((), goal, limits, stats)
     if not results:
-        raise NotProvable(
-            f"not provable: {format_glue(goal)}",
-            limit_hit=own_stats.limit_hit,
-        )
+        raise NotProvable(f"not provable: {format_glue(goal)}",
+                          limit_hit=stats.limit_hit)
     return _proof(initial, *results[0])
 
 

@@ -91,6 +91,16 @@ def test_a_3000_link_cycle_is_rejected():
         parse_fstructure(chain(3000, last="[N a0]"))
 
 
+def test_a_3000_link_chain_of_references_prints_and_compares():
+    fs, again = parse_fstructure(chain(3000)), parse_fstructure(chain(3000))
+    assert fs == again
+    # each node is printed once, nested at its first reference
+    text = repr(fs)
+    assert text.startswith("f:[X0 a0:[N a1:[N a2:[")
+    assert text.count(":[") == 3002
+    assert fs != parse_fstructure(chain(3000, last="[P 'x']"))
+
+
 def test_two_nodes_under_one_label_are_rejected():
     fs = FStructure("f", {"SUBJ": FStructure("g"), "OBJ": FStructure("g")})
     with pytest.raises(DuplicateLabel,

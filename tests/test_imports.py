@@ -114,3 +114,21 @@ def test_the_search_never_typechecks_a_term(name):
              or isinstance(n, ast.Attribute) and n.attr in checkers
              or isinstance(n, ast.alias) and n.name in checkers}
     assert not found, f"{name} reaches a typechecker at lines {sorted(found)}"
+
+
+def test_the_oracle_never_reads_the_search_index():
+    # the oracle shares _State for its counter, limits and stats; the slot
+    # table and head index stay the search's, so a bug in them cannot be
+    # mirrored on the oracle's side
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SOURCES
+             if p.name in ("prover.py", "oracle.py")}
+    [state] = [n for n in trees["prover.py"].body
+               if isinstance(n, ast.ClassDef) and n.name == "_State"]
+    members = {n.name for n in state.body if isinstance(n, ast.FunctionDef)}
+    members |= {n.attr for n in ast.walk(state) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)}
+    index = {"slots", "by_proj", "by_type", "needs", "candidates", "add"}
+    assert index <= members
+    found = {n.lineno for n in ast.walk(trees["oracle.py"])
+             if isinstance(n, ast.Attribute) and n.attr in index}
+    assert not found, f"oracle.py reads the search index at {sorted(found)}"

@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import itertools
+import math
 import re
 import sys
 from collections import Counter
@@ -553,8 +554,8 @@ FIND_SIG = {**SIG, "find": parse_type("e -> e -> t")}
 
 def test_focus_opens_the_head_first_and_each_antecedent_when_reached(
         monkeypatch):
-    # the third premise's head, g.sig ~> Z, cannot match the goal f; tried
-    # there, its antecedent h.sig ~> Z must stay closed
+    # the third premise's head, g.sig ~> Z, cannot match the goal f, so
+    # its antecedent h.sig ~> Z must stay closed there
     premises = [parse_glue(text, FIND_SIG) for text in [
         BILL, AL_H, "forall Z:e. h.sig ~> Z -o g.sig ~> Z",
         "forall X:e, Y:e. g.sig ~> X -o g.sig ~> Y -o f.sig ~> find(X, Y)",
@@ -583,10 +584,11 @@ def test_focus_opens_the_head_first_and_each_antecedent_when_reached(
         elif i + 1 == len(log) or not isinstance(log[i + 1], bool):
             assert log[i - 1] is True  # reached only after a head unified
             antecedents.append(event)
-    # an opened variable prints as its index, #0 for the nearest binder:
-    # in the fourth premise X is #1 and Y is #0
-    assert log[:6] == ["g.sig ~> Bill", False, "h.sig ~> Al", False,
-                       "g.sig ~> #0", False]
+    # the head index opens only the fourth premise's head for the goal f,
+    # and only heads that then unify; an opened variable prints as its
+    # index, #0 for the nearest binder: in the fourth premise X is #1
+    assert log[:2] == ["f.sig ~> find(#1, #0)", True]
+    assert False not in log
     assert Counter(antecedents) == \
         {"g.sig ~> #1": 1, "g.sig ~> #0": 2, "h.sig ~> #0": 2}
 
@@ -624,6 +626,57 @@ def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
         prems = lexicon_premises(scenario, scenario.lexicon)
         assert len(derive_readings(prems, scenario.goal)) == 6
     assert calls
+
+
+@pytest.mark.parametrize("k, count", [(3, 6), (4, 24)])
+def test_a_scope_k_search_visits_only_successful_derivations(tmp_path, k,
+                                                             count):
+    # each ordered choice of the first i quantifiers takes three nodes,
+    # its scope goal, the implication below and the atomic goal below
+    # that; each full order then focuses the relation, one node per
+    # argument; with no dead branch nothing else is visited
+    files, [(path, _)] = _perfbench_gen().scope_inputs(1, k, 1)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    scenario = load_scenario(str(tmp_path / path))
+    stats = SearchStats()
+    readings = derive_readings(lexicon_premises(scenario, scenario.lexicon),
+                               scenario.goal, None, stats)
+    assert len(readings) == count
+    prefixes = sum(math.perm(k, i) for i in range(1, k + 1))
+    assert stats.nodes == 1 + 3 * prefixes + k * math.factorial(k)
+
+
+def test_the_relation_waits_for_every_argument_hypothesis(monkeypatch):
+    # the relation's antecedents g.sig ~> X and h.sig ~> Y are atoms that
+    # only the quantifiers' hypotheses produce, so the look-ahead focuses
+    # it only once both are in the context, and then nothing else is
+    sig = {**FIND_SIG, "all": parse_type("(e -> t) -> t"),
+           "some": parse_type("(e -> t) -> t")}
+    premises = [parse_glue(text, sig) for text in [
+        "forall S:proj(t), P:e -> t. "
+        "(forall x:e. g.sig ~> x -o S ~> P(x)) -o S ~> all(P)",
+        "forall S:proj(t), P:e -> t. "
+        "(forall x:e. h.sig ~> x -o S ~> P(x)) -o S ~> some(P)",
+        "forall X:e, Y:e. g.sig ~> X -o h.sig ~> Y -o f.sig ~> find(X, Y)",
+    ]]
+    real = prover._focus
+    contexts = []  # the rest of the context at each focus of the relation
+
+    def focusing(entry, ctx, goal, subst, depth, state):
+        if state.slots[entry.bit_length() - 1] == premises[2]:
+            rest = [state.slots[bit.bit_length() - 1]
+                    for bit in prover._bits(ctx)]
+            # eigenvariable uids masked
+            contexts.append(sorted(re.sub(r"#\d+", "", format_glue(f))
+                                   for f in rest))
+        return real(entry, ctx, goal, subst, depth, state)
+
+    monkeypatch.setattr(prover, "_focus", focusing)
+    stats = SearchStats()
+    readings = derive_readings(premises, "f", None, stats)
+    assert len(readings) == stats.proofs_found == 2  # one per scope order
+    assert contexts == [["g.sig ~> x", "h.sig ~> x"]] * 2
 
 
 def test_every_proof_of_a_scope_k4_scenario_replays_and_checks(tmp_path):
