@@ -42,6 +42,7 @@ from .fstructure import FACETS, SemProjectionRef
 from .terms import (
     Term,
     Var,
+    _shift,
     format_term,
     infer_type,
     normalize,
@@ -322,7 +323,9 @@ def curry(f: Formula) -> Formula:
     A * B -o C becomes A -o B -o C, in any position. No other tensor has an
     implication form: one in conclusion position raises TensorInConclusion,
     and one right under a quantifier raises GlueFormulaError. So no tensor
-    is left for the search, the oracle or check_proof.
+    is left for the search, the oracle or check_proof. A quantifier in an
+    implication's conclusion moves out: A -o forall xs. B becomes
+    forall xs. A -o B, as xs cannot occur in A.
     """
     return _curry(f, ((), ()))
 
@@ -341,14 +344,32 @@ def _curry(f: Formula, scope: Scope) -> Formula:
     if isinstance(f, Impl):
         parts = [_curry(part, scope) for part in operands(f.left)]
         out = _curry(f.right, scope)
+        binders = out.binders if isinstance(out, Forall) else ()
+        if binders:  # A -o forall xs. B is forall xs. A -o B: xs not in A
+            m = sum(isinstance(b, MeaningBinder) for b in binders)
+            parts = [_lift(part, m, len(binders) - m) for part in parts]
+            out = out.body
         for part in reversed(parts):
             out = Impl(part, out)
-        return out
+        return Forall(binders, out) if binders else out
     if isinstance(f, Tensor):
         raise TensorInConclusion(
             f"tensor in conclusion position: {_fmt(f, 0, scope)}"
         )
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _lift(f: Formula, m: int, p: int, dm: int = 0, dp: int = 0) -> Formula:
+    """Curried f under m and p more binders of each kind, past its dm, dp."""
+    if isinstance(f, GlueAtom):
+        proj = ProjVar(f.proj.index + p) if isinstance(f.proj, ProjVar) \
+            and f.proj.index >= dp else f.proj
+        return GlueAtom(proj, _shift(f.meaning, m, dm), f.result_type)
+    if isinstance(f, Impl):
+        return Impl(_lift(f.left, m, p, dm, dp), _lift(f.right, m, p, dm, dp))
+    inner = sum(isinstance(b, MeaningBinder) for b in f.binders)
+    return Forall(f.binders, _lift(f.body, m, p, dm + inner,
+                                   dp + len(f.binders) - inner))
 
 
 def operands(f: Formula) -> Iterator[Formula]:

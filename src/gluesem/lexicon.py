@@ -104,8 +104,7 @@ def parse_lexicon(text: str) -> Lexicon:
             raise LexiconError(f"duplicate entry for {headword!r}")
         constraints: dict[str, str] = {}
         glue_text: Optional[str] = None
-        i = 1
-        while i < len(stanza):
+        for i in range(1, len(stanza)):
             line = stanza[i].strip()
             m = _CONSTRAINT_RE.match(line)  # first: glue = yes is a constraint
             if m:
@@ -135,7 +134,6 @@ def parse_lexicon(text: str) -> Lexicon:
                 raise LexiconError(
                     f"unrecognized line in entry {headword}: {line!r}"
                 )
-            i += 1
         if glue_text is None:
             raise LexiconError(f"entry {headword} has no glue template")
         raw.append((headword, constraints, glue_text))
@@ -157,8 +155,18 @@ def read_text(path: str) -> str:
                            f"{exc.start}") from None
 
 
+_last_parse = ("", Lexicon())  # the text parsed last, and its lexicon
+
+
 def load_lexicon(path: str) -> Lexicon:
-    return parse_lexicon(read_text(path))
+    """Parse a lexicon file; unchanged text reuses the last parse, and the
+    returned dicts belong to the caller (the entries are shared)."""
+    global _last_parse
+    text = read_text(path)
+    last = _last_parse  # read once, as another thread may replace it
+    parsed = last[1] if text == last[0] else parse_lexicon(text)
+    _last_parse = (text, parsed)
+    return Lexicon(dict(parsed.entries), dict(parsed.signature))
 
 
 # ---------------------------------------------------------------------------

@@ -797,8 +797,15 @@ def _trace_value(v: Union[Term, Proj]) -> str:
     return format_term(v) if isinstance(v, Term) else format_proj(v)
 
 
+def _glue_texts() -> Callable[[Formula], str]:
+    """format_glue once per formula object of the proof being rendered."""
+    seen: dict[int, str] = {}
+    return lambda f: seen.get(id(f)) or seen.setdefault(id(f), format_glue(f))
+
+
 def format_proof(proof: Proof) -> str:
     """Indented rule-per-line rendering of a derivation tree, in pre-order."""
+    glue = _glue_texts()
     lines: list[str] = []
     stack = [(proof, 0)]
     while stack:
@@ -808,24 +815,28 @@ def format_proof(proof: Proof) -> str:
             note = f"  [fresh {_trace_value(p.eigen)}]"
         elif p.instantiation is not None:
             note = f"  [:= {_trace_value(p.instantiation)}]"
-        lines.append(f"{'  ' * depth}{p.rule}: {p.sequent!r}{note}")
+        context = ", ".join(map(glue, p.sequent.context))
+        lines.append(f"{'  ' * depth}{p.rule}: {context} |- "
+                     f"{glue(p.sequent.goal)}{note}")
         stack.extend((c, depth + 1) for c in reversed(p.children))
     return "\n".join(lines)
 
 
 def proof_json(proof: Proof) -> dict:
     """Nested dict mirror of the proof, ready for json.dump."""
-    node: dict = {
-        "rule": proof.rule,
-        "context": [format_glue(f) for f in proof.sequent.context],
-        "goal": format_glue(proof.sequent.goal),
-    }
-    substitution: dict[str, str] = {}
-    if proof.eigen is not None:
-        substitution["fresh"] = _trace_value(proof.eigen)
-    if proof.instantiation is not None:
-        substitution["value"] = _trace_value(proof.instantiation)
-    if substitution:
-        node["substitution"] = substitution
-    node["children"] = [proof_json(c) for c in proof.children]
-    return node
+    glue = _glue_texts()
+
+    def mirror(proof: Proof) -> dict:
+        node: dict = {
+            "rule": proof.rule,
+            "context": [glue(f) for f in proof.sequent.context],
+            "goal": glue(proof.sequent.goal),
+        }
+        substitution = {key: _trace_value(value) for key, value in (
+            ("fresh", proof.eigen), ("value", proof.instantiation))
+            if value is not None}
+        if substitution:
+            node["substitution"] = substitution
+        node["children"] = [mirror(c) for c in proof.children]
+        return node
+    return mirror(proof)

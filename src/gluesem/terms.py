@@ -49,7 +49,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
     ty: SimpleType
@@ -58,7 +58,7 @@ class Const(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A free variable; lambda-bound occurrences are Bound leaves."""
 
@@ -69,7 +69,7 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigen(Term):
     """An eigenvariable: a fresh constant the prover introduces.
 
@@ -85,7 +85,7 @@ class Eigen(Term):
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound(Term):
     """A lambda-bound occurrence; index 0 refers to the nearest binder."""
 
@@ -93,7 +93,7 @@ class Bound(Term):
     ty: SimpleType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     """Abstraction over a variable of type ty, referred to as Bound(0, ty)."""
 
@@ -104,7 +104,7 @@ class Lam(Term):
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     """A call fn(*args); app builds it, so args is non-empty and fn no App."""
 
@@ -115,7 +115,7 @@ class App(Term):
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Up(Term):
     """Intension ^M, of type s -> ty when M has type ty."""
 
@@ -125,7 +125,7 @@ class Up(Term):
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Down(Term):
     """Extension !M; well typed only when M has an intensional type."""
 
@@ -135,7 +135,7 @@ class Down(Term):
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaVar(Term):
     """A prover-owned hole standing for a not-yet-chosen meaning.
 
@@ -240,12 +240,12 @@ def open_bound(t: Term, values: Sequence[Term], depth: int = 0) -> Term:
     return map_leaves(t, leaf, depth)
 
 
-def _shift(t: Term, by: int) -> Term:
-    """Add by to every loose index of t, as when t moves under by binders."""
+def _shift(t: Term, by: int, depth: int = 0) -> Term:
+    """Add by to t's loose indices past depth, as under by more binders."""
     if not by or isinstance(t, (Const, Var, Eigen, MetaVar)):
         return t
-    return map_leaves(t, lambda u, depth: Bound(u.index + by, u.ty)
-                      if isinstance(u, Bound) and u.index >= depth else u)
+    return map_leaves(t, lambda u, d: Bound(u.index + by, u.ty)
+                      if isinstance(u, Bound) and u.index >= d else u, depth)
 
 
 def typecheck(t: Term,

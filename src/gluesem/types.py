@@ -14,7 +14,7 @@ class SimpleType:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseType(SimpleType):
     name: str
 
@@ -22,7 +22,7 @@ class BaseType(SimpleType):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowType(SimpleType):
     dom: SimpleType
     cod: SimpleType

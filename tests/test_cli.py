@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import SCENARIO_NAMES
 
-from gluesem import prover
+from gluesem import lexicon, prover
 from gluesem.cli import main
 from gluesem.types import MAX_NESTING
 
@@ -178,6 +178,23 @@ def test_run_trace_is_byte_identical_to_golden(corpus_dir, capsys, name,
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_run_derives_through_a_quantifier_in_a_conclusion(tmp_path, capsys,
+                                                          flags):
+    (tmp_path / "lexicon.glue").write_text(
+        "entry Bill\nconst Bill : e\nglue ^.sig ~> Bill\n\n"
+        "entry left\nconst leave : e -> t\nglue forall Y:e. "
+        "(^ SUBJ).sig ~> Y -o (forall H:proj(t). H ~> leave(Y))\n",
+        encoding="utf-8")
+    (tmp_path / "scenario.txt").write_text(
+        "scenario hoisted\nlexicon lexicon.glue\n"
+        "fstructure f:[PRED 'leave', SUBJ g:[PRED 'Bill']]\n"
+        "attach Bill -> g\nattach left -> f\ngoal f\n", encoding="utf-8")
+    code = main(["run", str(tmp_path / "scenario.txt")] + flags)
+    assert code == 0
+    assert capsys.readouterr().out == "hoisted: 1 reading\n  1. leave(Bill)\n"
+
+
 def test_run_max_depth_flags_the_limit(corpus_dir, capsys):
     code = main(["run", scenario_path(corpus_dir, "bill-seeks-a-unicorn"),
                  "--max-depth", "2"])
@@ -203,6 +220,20 @@ def test_batch_passes_on_the_corpus(corpus_dir, capsys):
     assert code == 0
     assert "6/6 scenarios pass" in out
     assert out.count("PASS") == 6
+
+
+def test_batch_parses_the_shared_lexicon_once(corpus_dir, capsys,
+                                             monkeypatch):
+    # every corpus scenario names one lexicon file, so its unchanged text
+    # is parsed for the first scenario only
+    monkeypatch.setattr(lexicon, "_last_parse", ("", lexicon.Lexicon()))
+    texts = []
+    parse = lexicon.parse_lexicon
+    monkeypatch.setattr(lexicon, "parse_lexicon",
+                        lambda text: texts.append(text) or parse(text))
+    assert main(["batch", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out.endswith("6/6 scenarios pass\n")
+    assert texts == [(corpus_dir / "lexicon.glue").read_text("utf-8")]
 
 
 def test_batch_empty_directory_trivially_passes(tmp_path, capsys):

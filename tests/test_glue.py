@@ -123,6 +123,28 @@ def test_curry_rejects_tensor_conclusion():
         curry(Impl(parse("g.sig ~> Bill"), f))
 
 
+@pytest.mark.parametrize("text, prenex", [
+    ("forall X:e. g.sig ~> X -o (forall H:proj(t). H ~> leave(X))",
+     "forall X:e, H:proj(t). g.sig ~> X -o H ~> leave(X)"),
+    # the antecedent's own binders and its conclusion's quantifier stay
+    # inside it; its loose indices step over the hoisted binders
+    ("forall X:e, K:proj(e). (K ~> X -o (forall P:proj(t). P ~> leave(X)))"
+     " -o (forall Z:e, H:proj(t). K ~> Z -o H ~> find(X, Z))",
+     "forall X:e, K:proj(e), Z:e, H:proj(t). "
+     "(forall P:proj(t). K ~> X -o P ~> leave(X)) -o K ~> Z -o "
+     "H ~> find(X, Z)"),
+    ("forall S:e -> t. (forall x:e. g.sig ~> x -o f.sig ~> "
+     "every(z, man(z), S(z))) -o (forall Y:e. h.sig ~> Y -o f.sig ~> S(Y))",
+     "forall S:(e -> t), Y:e. (forall x:e. g.sig ~> x -o f.sig ~> "
+     "every(z, man(z), S(z))) -o h.sig ~> Y -o f.sig ~> S(Y)"),
+])
+def test_curry_moves_a_quantifier_out_of_a_conclusion(text, prenex):
+    # A -o forall xs. B is forall xs. A -o B, as xs cannot occur in A
+    curried = curry(parse(text))
+    assert curried == parse(prenex)
+    assert format_glue(curried) == prenex
+
+
 def test_curry_leaves_no_tensor_anywhere():
     def has_tensor(f):
         if isinstance(f, Tensor):

@@ -1,7 +1,10 @@
 """Lexical templates: instantiation at f-structure nodes, scenarios."""
 
+import re
+
 import pytest
 
+from gluesem import lexicon
 from gluesem.errors import LexiconError, MissingAttribute, PredMismatch
 from gluesem.fstructure import parse_fstructure
 from gluesem.glue import (
@@ -16,6 +19,7 @@ from gluesem.lexicon import (
     LexicalEntry,
     Lexicon,
     instantiate,
+    load_lexicon,
     load_scenario,
     parse_lexicon,
     parse_scenario,
@@ -209,6 +213,67 @@ def test_a_3000_binder_entry_instantiates():
     [premise] = premises(WIDE_SCENARIO, lexicon)
     assert isinstance(premise.formula, Forall)
     assert len(premise.formula.binders) == 3000
+
+
+# ---------------------------------------------------------------------------
+# loading lexicon files
+
+BILL = "entry Bill\nconst Bill : e\nglue ^.sig ~> Bill\n"
+AL = "\nentry Al\nconst Al : e\nglue ^.sig ~> Al\n"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts load_lexicon parses, from a state that remembers none."""
+    monkeypatch.setattr(lexicon, "_last_parse", ("", Lexicon()))
+    texts = []
+    parse = lexicon.parse_lexicon
+    monkeypatch.setattr(lexicon, "parse_lexicon",
+                        lambda text: texts.append(text) or parse(text))
+    return texts
+
+
+def test_a_lexicon_rewritten_between_loads_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "lexicon.glue"
+    path.write_text(BILL, encoding="utf-8")
+    assert set(load_lexicon(str(path)).entries) == {"Bill"}
+    assert set(load_lexicon(str(path)).entries) == {"Bill"}
+    path.write_text(BILL + AL, encoding="utf-8")
+    assert load_lexicon(str(path)) == parse_lexicon(BILL + AL)
+    assert set(load_lexicon(str(path)).entries) == {"Bill", "Al"}
+    assert parses == [BILL, BILL + AL]
+
+
+def test_what_a_caller_adds_to_a_loaded_lexicon_stays_its_own(tmp_path):
+    path = tmp_path / "lexicon.glue"
+    path.write_text(BILL, encoding="utf-8")
+    mine = load_lexicon(str(path))
+    mine.entries["Al"] = LexicalEntry(
+        "Al", {}, parse_glue("^.sig ~> Al", {"Al": E}))
+    mine.signature["Al"] = E
+    assert load_lexicon(str(path)) == parse_lexicon(BILL)
+
+
+def test_a_lexicon_that_fails_to_parse_fails_on_every_load(tmp_path, parses):
+    path = tmp_path / "lexicon.glue"
+    broken = BILL + "\nentry Al\nAl is no line\nglue ^.sig ~> Bill\n"
+    path.write_text(broken, encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(LexiconError, match="unrecognized line"):
+            load_lexicon(str(path))
+    path.write_text(BILL, encoding="utf-8")
+    assert load_lexicon(str(path)) == parse_lexicon(BILL)
+    assert parses == [broken, broken, BILL]
+
+
+def test_a_lexicon_file_that_is_not_utf8_is_a_lexicon_error(tmp_path):
+    path = tmp_path / "lexicon.glue"
+    path.write_text(BILL, encoding="utf-8")
+    load_lexicon(str(path))
+    path.write_bytes(BILL.encode() + b"\xff")
+    with pytest.raises(LexiconError,
+                       match=f"^{re.escape(str(path))} is not UTF-8: "):
+        load_lexicon(str(path))
 
 
 # ---------------------------------------------------------------------------

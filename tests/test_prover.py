@@ -24,6 +24,7 @@ from gluesem.glue import (
     atoms,
     curry,
     format_glue,
+    format_proj,
     parse_glue,
 )
 from gluesem.lexicon import load_scenario, parse_lexicon, parse_scenario
@@ -55,6 +56,7 @@ from gluesem.terms import (
     Eigen,
     Lam,
     MetaVar,
+    Term,
     Var,
     app,
     format_term,
@@ -546,6 +548,18 @@ def test_a_tensor_antecedent_of_an_antecedent_is_curried():
     assert hand.meaning == reading.meaning
 
 
+def test_a_quantifier_in_a_conclusion_is_searched_checked_and_enumerated():
+    # curry moves forall H out of the implication, so the search indexes
+    # the premise by its atomic head
+    premises = [glue("g.sig ~> Bill"), glue(
+        "forall Y:e. g.sig ~> Y -o (forall H:proj(t). H ~> leave(Y))")]
+    [reading] = derive_readings(premises, "f")
+    assert format_term(reading.meaning) == "leave(Bill)"
+    check_proof(reading.proof, None, premises, "f")
+    [reference] = oracle_enumerate(premises, "f")
+    assert reference.meaning == reading.meaning
+
+
 # ---------------------------------------------------------------------------
 # focusing: the head opens first, each antecedent when it is reached
 
@@ -706,6 +720,43 @@ def test_format_proof_shows_rules_and_instantiations(corpus):
     assert ":=" in text or "fresh" in text
     # one rule per line, indented by depth
     assert all(line.lstrip() for line in text.splitlines())
+
+
+def test_every_proof_of_a_scope_k4_scenario_renders_step_by_step(tmp_path):
+    # the reference prints each step's sequent with Sequent.__repr__;
+    # format_proof and proof_json print each formula object once per call
+    def steps(p, depth=0):
+        yield depth, p
+        for child in p.children:
+            yield from steps(child, depth + 1)
+
+    def note(p):
+        value = p.eigen if p.eigen is not None else p.instantiation
+        if value is None:
+            return ""
+        text = format_term(value) if isinstance(value, Term) \
+            else format_proj(value)
+        return f"  [{'fresh' if p.eigen is not None else ':='} {text}]"
+
+    def sequents(node):
+        yield f"{', '.join(node['context'])} |- {node['goal']}"
+        for child in node["children"]:
+            yield from sequents(child)
+
+    files, [(path, _)] = _perfbench_gen().scope_inputs(1, 4, 1)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    scenario = load_scenario(str(tmp_path / path))
+    readings = derive_readings(lexicon_premises(scenario, scenario.lexicon),
+                               scenario.goal)
+    assert len(readings) == 24
+    for reading in readings:
+        walk = list(steps(reading.proof))
+        assert format_proof(reading.proof) == "\n".join(
+            f"{'  ' * depth}{p.rule}: {p.sequent!r}{note(p)}"
+            for depth, p in walk)
+        assert list(sequents(proof_json(reading.proof))) == \
+            [repr(p.sequent) for _, p in walk]
 
 
 def test_a_proof_deeper_than_the_stack_prints_and_checks():
