@@ -17,10 +17,13 @@ restriction slots), a bound projection variable ``H``, or the template forms
 attached to a concrete node.
 
 Each formula has one shape. A tensor chain is one Tensor of its parts, and
-a run of quantifiers is one Forall of its binders. Binders are nameless: a
-meaning variable is a loose index of the atom terms below its quantifier,
-counting meaning binders and lambdas, and ProjVar's index counts projection
-binders. Names are kept for printing, so alpha-equivalent formulas are ==.
+a run of quantifiers is one Forall of its binders. Binders are nameless,
+with one count for both kinds: a ProjVar and a meaning variable, a loose
+index of the atom terms below its quantifier, each count every quantifier
+binder between them and their own, and a meaning index also counts the
+term's lambdas. Which binder an index names is glue's business alone:
+open_formula takes one value per binder of a run, in binding order. Names
+are kept for printing, so alpha-equivalent formulas are ==.
 curry settles every tensor once: tensor antecedents become implications, and
 any other tensor is refused there.
 """
@@ -57,7 +60,7 @@ from .types import IDENT_RE, BaseType, Scanner, SimpleType, format_type
 
 @dataclass(frozen=True)
 class ProjVar:
-    """A bound projection; index 0 is the nearest projection binder."""
+    """A bound projection; index 0 is the nearest binder, of either kind."""
 
     index: int
 
@@ -196,51 +199,51 @@ class Forall:
 
 Formula = Union[GlueAtom, Impl, Tensor, Forall]
 
-# The binders around a subformula, nearest first: each meaning binder as the
-# variable its name reads as in term syntax, and the projection binders.
-Scope = tuple[tuple[Var, ...], tuple[ProjBinder, ...]]
+# The binders around a subformula, nearest first: a meaning binder as the
+# variable its name reads as in term syntax, a projection binder as itself.
+Scope = tuple[Union[Var, ProjBinder], ...]
 
 
 def _bind(binders: Sequence[Binder], scope: Scope) -> Scope:
     """The scope under a run of binders, outermost first."""
-    meanings, projs = scope
-    for b in binders:
-        if isinstance(b, MeaningBinder):
-            meanings = (Var(b.name, b.ty),) + meanings
-        else:
-            projs = (b,) + projs
-    return meanings, projs
+    return tuple(Var(b.name, b.ty) if isinstance(b, MeaningBinder) else b
+                 for b in reversed(binders)) + scope
 
 
 # ---------------------------------------------------------------------------
 # structural helpers
 
-def map_atoms(f: Formula, fn: Callable[[GlueAtom], Formula]) -> Formula:
-    """Replace every atom a by fn(a), keeping the connectives and binders.
+def map_atoms(f: Formula, fn: Callable[[GlueAtom, int], Formula],
+              depth: int = 0) -> Formula:
+    """Replace every atom a by fn(a, number of binders crossed to reach a).
 
-    A subformula in which fn replaces nothing comes back as the same object.
+    The connectives and binders are kept, and a subformula in which fn
+    replaces nothing comes back as the same object.
     """
     if isinstance(f, GlueAtom):
-        return fn(f)
+        return fn(f, depth)
     if isinstance(f, Impl):
-        left, right = map_atoms(f.left, fn), map_atoms(f.right, fn)
+        left = map_atoms(f.left, fn, depth)
+        right = map_atoms(f.right, fn, depth)
         return f if left is f.left and right is f.right else Impl(left, right)
     if isinstance(f, Tensor):
-        parts = tuple(map_atoms(part, fn) for part in f.parts)
+        parts = tuple(map_atoms(part, fn, depth) for part in f.parts)
         return f if all(map(operator.is_, parts, f.parts)) else Tensor(parts)
     if isinstance(f, Forall):
-        body = map_atoms(f.body, fn)
+        body = map_atoms(f.body, fn, depth + len(f.binders))
         return f if body is f.body else Forall(f.binders, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _atom(a: GlueAtom, proj: Proj, meaning: Term) -> GlueAtom:
+    """a with proj and meaning, or a itself when both are a's own."""
+    same = proj is a.proj and meaning is a.meaning
+    return a if same else GlueAtom(proj, meaning, a.result_type)
+
+
 def normalize_meanings(f: Formula) -> Formula:
     """f with the meaning of every atom normalized; a normal f is kept."""
-    def atom(a: GlueAtom) -> GlueAtom:
-        meaning = normalize(a.meaning)
-        return a if meaning is a.meaning else \
-            GlueAtom(a.proj, meaning, a.result_type)
-    return map_atoms(f, atom)
+    return map_atoms(f, lambda a, _: _atom(a, a.proj, normalize(a.meaning)))
 
 
 def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
@@ -255,48 +258,32 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
                 f"{binder.name} has type {format_type(binder.ty)}, got "
                 f"{format_type(infer_type(value))}"
             )
-        return open_formula(body, (value,), ())
-    if isinstance(value, Term):
+    elif isinstance(value, Term):
         raise TypeError("projection binder instantiated with a meaning term")
-    declared = getattr(value, "index", None)
-    if declared is not None and declared != binder.index:
+    elif getattr(value, "index", binder.index) != binder.index:
         raise AtomTypeMismatch(
             f"{binder.name} indexes {format_type(binder.index)} resources, "
-            f"got proj({format_type(declared)})"
+            f"got proj({format_type(value.index)})"
         )
-    return open_formula(body, (), (value,))
+    return open_formula(body, (value,))
 
 
-def open_formula(f: Formula, meanings: Sequence[Term],
-                 projs: Sequence[Proj], m: int = 0, p: int = 0) -> Formula:
-    """Open, in one pass, binders of both kinds outside f's own m and p.
+def open_formula(f: Formula, values: Sequence[Union[Term, Proj]]) -> Formula:
+    """Open, in one pass, a run of binders just outside f.
 
-    meanings[i] and projs[i] replace the variables of index i of each kind,
-    0 the nearest. An atom with nothing to substitute stays the same object.
+    values holds one meaning or projection per binder of the run, in binding
+    order, so the last replaces index 0. An atom with nothing to substitute
+    stays the same object.
     """
-    if not meanings and not projs:
-        return f
-    if isinstance(f, GlueAtom):
-        proj = f.proj
-        if isinstance(proj, ProjVar) and projs and proj.index >= p:
-            i = proj.index - p
-            proj = projs[i] if i < len(projs) \
-                else ProjVar(proj.index - len(projs))
-        meaning = open_bound(f.meaning, meanings, m)
-        if proj is f.proj and meaning is f.meaning:
-            return f
-        return GlueAtom(proj, meaning, f.result_type)
-    if isinstance(f, Impl):
-        return Impl(open_formula(f.left, meanings, projs, m, p),
-                    open_formula(f.right, meanings, projs, m, p))
-    if isinstance(f, Tensor):
-        return Tensor(tuple(open_formula(part, meanings, projs, m, p)
-                            for part in f.parts))
-    if isinstance(f, Forall):
-        inner = sum(isinstance(b, MeaningBinder) for b in f.binders)
-        return Forall(f.binders, open_formula(
-            f.body, meanings, projs, m + inner, p + len(f.binders) - inner))
-    raise TypeError(f"not a formula: {f!r}")
+    n, nearest = len(values), values[::-1]
+
+    def atom(a: GlueAtom, depth: int) -> GlueAtom:
+        proj = a.proj
+        if isinstance(proj, ProjVar) and proj.index >= depth:
+            i = proj.index - depth
+            proj = nearest[i] if i < n else ProjVar(proj.index - n)
+        return _atom(a, proj, open_bound(a.meaning, nearest, depth))
+    return map_atoms(f, atom) if n else f
 
 
 def atoms(f: Formula) -> Iterator[GlueAtom]:
@@ -327,7 +314,7 @@ def curry(f: Formula) -> Formula:
     implication's conclusion moves out: A -o forall xs. B becomes
     forall xs. A -o B, as xs cannot occur in A.
     """
-    return _curry(f, ((), ()))
+    return _curry(f, ())
 
 
 def _curry(f: Formula, scope: Scope) -> Formula:
@@ -346,8 +333,7 @@ def _curry(f: Formula, scope: Scope) -> Formula:
         out = _curry(f.right, scope)
         binders = out.binders if isinstance(out, Forall) else ()
         if binders:  # A -o forall xs. B is forall xs. A -o B: xs not in A
-            m = sum(isinstance(b, MeaningBinder) for b in binders)
-            parts = [_lift(part, m, len(binders) - m) for part in parts]
+            parts = [_lift(part, len(binders)) for part in parts]
             out = out.body
         for part in reversed(parts):
             out = Impl(part, out)
@@ -359,17 +345,14 @@ def _curry(f: Formula, scope: Scope) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _lift(f: Formula, m: int, p: int, dm: int = 0, dp: int = 0) -> Formula:
-    """Curried f under m and p more binders of each kind, past its dm, dp."""
-    if isinstance(f, GlueAtom):
-        proj = ProjVar(f.proj.index + p) if isinstance(f.proj, ProjVar) \
-            and f.proj.index >= dp else f.proj
-        return GlueAtom(proj, _shift(f.meaning, m, dm), f.result_type)
-    if isinstance(f, Impl):
-        return Impl(_lift(f.left, m, p, dm, dp), _lift(f.right, m, p, dm, dp))
-    inner = sum(isinstance(b, MeaningBinder) for b in f.binders)
-    return Forall(f.binders, _lift(f.body, m, p, dm + inner,
-                                   dp + len(f.binders) - inner))
+def _lift(f: Formula, n: int) -> Formula:
+    """f under n more binders."""
+    def atom(a: GlueAtom, depth: int) -> GlueAtom:
+        proj = a.proj
+        if isinstance(proj, ProjVar) and proj.index >= depth:
+            proj = ProjVar(proj.index + n)
+        return _atom(a, proj, _shift(a.meaning, n, depth))
+    return map_atoms(f, atom)
 
 
 def operands(f: Formula) -> Iterator[Formula]:
@@ -390,7 +373,7 @@ class _GlueParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType]):
         super().__init__(text)
         self.sig = signature
-        self.scope: Scope = ((), ())
+        self.scope: Scope = ()
         self.unbound = None  # the first unbound projection variable
 
     def at_word(self, word: str) -> bool:
@@ -467,16 +450,17 @@ class _GlueParser(Scanner):
     def atom(self) -> GlueAtom:
         proj = self.proj()
         self.expect("~>")
-        meanings, projs = self.scope
-        meaning = parse_term_prefix(self, self.sig, meanings)
+        scope = self.scope
+        meaning = parse_term_prefix(self, self.sig, tuple(
+            b if isinstance(b, Var) else None for b in scope))
         result_type = infer_type(meaning)
-        if isinstance(proj, ProjVar) and proj.index < len(projs):
-            binder = projs[proj.index]
+        if isinstance(proj, ProjVar) and proj.index < len(scope):
+            binder = scope[proj.index]
             if binder.index != result_type:
                 raise AtomTypeMismatch(
                     f"{binder.name} carries {format_type(binder.index)} "
                     "resources but "
-                    f"{format_term(open_bound(meaning, meanings))} has type "
+                    f"{format_term(open_bound(meaning, scope))} has type "
                     f"{format_type(result_type)}"
                 )
         return GlueAtom(proj, meaning, result_type)
@@ -497,13 +481,12 @@ class _GlueParser(Scanner):
         name = self.ident()
         if self.text.startswith(".", self.pos):
             return SemProjectionRef(name, self.facet())
-        projs = self.scope[1]
-        for index, binder in enumerate(projs):
-            if binder.name == name:
+        for index, binder in enumerate(self.scope):
+            if isinstance(binder, ProjBinder) and binder.name == name:
                 return ProjVar(index)
         # reported when parsing ends, so a syntax error comes first
         self.unbound = self.unbound or name
-        return ProjVar(len(projs))
+        return ProjVar(len(self.scope))
 
     def facet(self) -> str:
         """Read .sig and an optional facet, .VAR or .RESTR."""
@@ -538,7 +521,7 @@ _PREC_TENSOR = 2
 
 
 def format_glue(f: Formula) -> str:
-    return _fmt(f, 0, ((), ()))
+    return _fmt(f, 0, ())
 
 
 def _fmt(f: Formula, min_prec: int, scope: Scope) -> str:
@@ -548,9 +531,8 @@ def _fmt(f: Formula, min_prec: int, scope: Scope) -> str:
     whose names the term printer keeps.
     """
     if isinstance(f, GlueAtom):
-        meanings, projs = scope
-        return (f"{format_proj(f.proj, projs)} ~> "
-                f"{format_term(open_bound(f.meaning, meanings))}")
+        return (f"{format_proj(f.proj, scope)} ~> "
+                f"{format_term(open_bound(f.meaning, scope))}")
     if isinstance(f, Forall):
         rendered = ", ".join(_fmt_binder(b) for b in f.binders)
         body = _fmt(f.body, _PREC_FORALL, _bind(f.binders, scope))
@@ -578,8 +560,8 @@ def _fmt_binder(b: Binder) -> str:
     return f"{b.name}:{ty_text}"
 
 
-def format_proj(p: Proj, outer: Sequence[ProjBinder] = ()) -> str:
-    """outer holds the enclosing projection binders, nearest first."""
+def format_proj(p: Proj, outer: Scope = ()) -> str:
+    """outer holds the enclosing binders, nearest first."""
     if isinstance(p, ProjVar) and p.index < len(outer):
         return outer[p.index].name
     return p.name if isinstance(p, ProjEigen) else repr(p)

@@ -188,7 +188,7 @@ def instantiate(entry: LexicalEntry, node: str, fs: FStructure) -> Formula:
                 f"but node {node} has {have}"
             )
 
-    def resolve(a: GlueAtom) -> GlueAtom:
+    def resolve(a: GlueAtom, _) -> GlueAtom:
         if not isinstance(a.proj, PathRef):
             return a
         label = resolve_path(fs, a.proj.path, start=node)

@@ -36,7 +36,7 @@ from .prover import (
     SearchLimits,
     SearchStats,
     _goal_eigen,
-    _ground_term,
+    _ground_reading,
     _holes,
     _prepare_goal,
     _solve_goal_hole,
@@ -62,7 +62,7 @@ def oracle_enumerate(premises: Sequence[Union[Premise, Formula]],
     ctx = tuple(prepare_premises(premises))
     readings: dict[str, Reading] = {}
     for subst in _enumerate(ctx, goal_formula, _Subst(), 0, state):
-        term = _ground_term(goal_formula.meaning, subst)
+        term, _ = _ground_reading(goal_formula.meaning, subst)
         key = canonical_key(term)
         if key not in readings:
             readings[key] = Reading(term, None)
@@ -77,8 +77,8 @@ def _enumerate(ctx: tuple[Formula, ...], goal: Formula, subst: _Subst,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        eigens, meanings, projs, body = _holes(goal, _goal_eigen, state)
-        yield from _enumerate(ctx, open_formula(body, meanings, projs), subst,
+        eigens, body = _holes(goal, _goal_eigen, state)
+        yield from _enumerate(ctx, open_formula(body, eigens), subst,
                               depth + len(eigens), state)
         return
     if isinstance(goal, Impl):
@@ -107,9 +107,9 @@ def _decide(f: Formula, rest: tuple[Formula, ...], goal: GlueAtom,
         return
     state.stats.nodes += 1
     if isinstance(f, Forall):
-        holes, meanings, projs, body = _holes(f, _solve_goal_hole, state)
-        yield from _decide(open_formula(body, meanings, projs), rest, goal,
-                           subst, depth + len(holes), state)
+        holes, body = _holes(f, _solve_goal_hole, state)
+        yield from _decide(open_formula(body, holes), rest, goal, subst,
+                           depth + len(holes), state)
         return
     if isinstance(f, Impl):
         n = len(rest)

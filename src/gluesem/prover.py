@@ -74,6 +74,7 @@ from .terms import (
     eta_lam,
     format_term,
     free_meta_vars,
+    map_leaves,
     normalize,
     spine,
     type_of,
@@ -224,11 +225,6 @@ class _Subst:
         """The term bound to hole m, or None; normalize's holes."""
         return self.meanings.get(m.uid)
 
-    def ground_meaning(self, m: MetaVar) -> Term:
-        """The term bound to hole m, or a placeholder constant for it."""
-        value = self.meanings.get(m.uid)
-        return Const(f"arb_{m.name}{m.uid}", m.ty) if value is None else value
-
 
 def zonk_proj(p: Proj, subst: _Subst) -> Proj:
     while isinstance(p, ProjMeta):
@@ -241,7 +237,28 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
 
 def _ground_term(t: Term, subst: _Subst) -> Term:
     """t normalized with its holes filled, a free hole by a placeholder."""
-    return normalize(t, subst.ground_meaning)
+    return normalize(t, lambda m: subst.meaning(m)
+                     or Const(f"arb_{m.name}{m.uid}", m.ty))
+
+
+def _ground_reading(t: Term, subst: _Subst) -> tuple[Term, _Subst]:
+    """A reading's meaning t grounded, and subst with its placeholders bound.
+
+    A free hole becomes arb_<name><k>, k numbering the free holes of a name
+    by first occurrence in the normal form, so equal readings compare equal.
+    """
+    free: list[MetaVar] = []
+    t = normalize(t, lambda m: subst.meaning(m) or free.append(m))
+    count: dict[str, int] = {}
+
+    def place(u: Term, _) -> Term:
+        nonlocal subst
+        if isinstance(u, MetaVar) and not subst.meaning(u):
+            count[u.name] = k = count.get(u.name, 0) + 1
+            subst = subst.bind_meaning(u.uid, Const(f"arb_{u.name}{k}", u.ty))
+        return subst.meaning(u) if isinstance(u, MetaVar) else u
+    t = map_leaves(t, place) if free else t
+    return t, subst
 
 
 def _ground_proj(p: Proj, subst: _Subst) -> Proj:
@@ -252,9 +269,9 @@ def _ground_proj(p: Proj, subst: _Subst) -> Proj:
 
 
 def ground_formula(f: Formula, subst: _Subst) -> Formula:
-    return map_atoms(f, lambda a: GlueAtom(_ground_proj(a.proj, subst),
-                                           _ground_term(a.meaning, subst),
-                                           a.result_type))
+    return map_atoms(f, lambda a, _: GlueAtom(_ground_proj(a.proj, subst),
+                                              _ground_term(a.meaning, subst),
+                                              a.result_type))
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +558,15 @@ def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
 
 
 def _holes(f: Formula, make: Callable, state: _State) \
-        -> tuple[list, list, list, Formula]:
-    """make's value for each binder of f's quantifier run, in binding order.
+        -> tuple[list, Formula]:
+    """make's value for each binder of f's quantifier run, and the body.
 
-    make is _solve_goal_hole or _goal_eigen. Returns the values with
-    open_formula's two sequences, nearest binder first, and the body below;
-    a formula without a run is its own body.
+    make is _solve_goal_hole or _goal_eigen. The values come in binding
+    order, as open_formula takes them; f without a run is its own body.
     """
-    values, meanings, projs = [], [], []
     if not isinstance(f, Forall):
-        return values, meanings, projs, f
-    for b in f.binders:
-        value = make(b, state.fresh())
-        values.append(value)
-        (meanings if isinstance(value, Term) else projs).insert(0, value)
-    return values, meanings, projs, f.body
+        return [], f
+    return [make(b, state.fresh()) for b in f.binders], f.body
 
 
 def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
@@ -572,10 +583,9 @@ def _solve(ctx: int, goal: Formula, subst: _Subst, depth: int,
         return
     state.stats.nodes += 1
     if isinstance(goal, Forall):
-        eigens, meanings, projs, body = _holes(goal, _goal_eigen, state)
-        for out, ctx_out, node in _solve(
-                ctx, open_formula(body, meanings, projs), subst,
-                depth + len(eigens), state):
+        eigens, body = _holes(goal, _goal_eigen, state)
+        for out, ctx_out, node in _solve(ctx, open_formula(body, eigens),
+                                         subst, depth + len(eigens), state):
             for eigen in reversed(eigens):
                 node = _SNode("forall_right", node.consumed, eigen=eigen,
                               child=node)
@@ -612,14 +622,13 @@ def _focus(entry: int, ctx: int, goal: GlueAtom, subst: _Subst, depth: int,
     if depth > state.limits.max_depth:
         state.stats.limit_hit = True
         return
-    insts, meanings, projs, f = _holes(
-        state.slots[entry.bit_length() - 1], _solve_goal_hole, state)
+    insts, f = _holes(state.slots[entry.bit_length() - 1], _solve_goal_hole,
+                      state)
     antecedents: list[Formula] = []
     while isinstance(f, Impl):
         antecedents.append(f.left)
         f = f.right
-    unified = _unify_atoms(goal, open_formula(f, meanings, projs), subst,
-                           state)
+    unified = _unify_atoms(goal, open_formula(f, insts), subst, state)
     if unified is None:
         return
 
@@ -632,7 +641,7 @@ def _focus(entry: int, ctx: int, goal: GlueAtom, subst: _Subst, depth: int,
                                              entry=entry, insts=tuple(insts),
                                              ants=done)
             return
-        antecedent = open_formula(antecedents[index], meanings, projs)
+        antecedent = open_formula(antecedents[index], insts)
         for out, ctx_out, node in _solve(ctx_cur, antecedent, subst_cur,
                                          depth + 1, state):
             yield from prove_antecedents(index + 1, ctx_out, out,
@@ -723,8 +732,8 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
                  stats: Optional[SearchStats]):
     """Search, keeping each result that uses every premise.
 
-    Returns the prepared premises, slots 0 to n - 1, per result its ground
-    goal, substitution and search node, and the stats. An empty result
+    Returns the prepared premises, slots 0 to n - 1, the prepared goal, per
+    result its substitution and search node, and the stats. An empty result
     after a problem outside the pattern fragment may be incomplete, so it
     raises.
     """
@@ -733,24 +742,22 @@ def _derivations(premises: Sequence[Union[Premise, Formula]],
     goal_formula = _prepare_goal(goal, state)
     initial = prepare_premises(premises)
     ctx = sum(state.add(f) for f in initial)
-    results = [
-        (ground_formula(goal_formula, subst), subst, node)
-        for subst, rest, node in _solve(ctx, goal_formula, _Subst(), 0, state)
-        if not rest  # linear logic: every premise must be used
-    ]
+    results = [(subst, node) for subst, rest, node in _solve(
+        ctx, goal_formula, _Subst(), 0, state)
+        if not rest]  # linear logic: every premise must be used
     stats.proofs_found = len(results)
     if not results and stats.nonpattern is not None:
         raise NonPatternUnification(
             "search failed and hit a unification problem outside the "
             f"pattern fragment: {stats.nonpattern}"
         )
-    return initial, results, stats
+    return initial, goal_formula, results, stats
 
 
 def _proof(initial: list[Formula], goal: Formula, subst: _Subst,
            node: _SNode) -> Proof:
     ctx = {1 << i: ground_formula(f, subst) for i, f in enumerate(initial)}
-    return _replay(node, ctx, goal, subst)
+    return _replay(node, ctx, ground_formula(goal, subst), subst)
 
 
 def prove(premises: Sequence[Union[Premise, Formula]],
@@ -758,8 +765,8 @@ def prove(premises: Sequence[Union[Premise, Formula]],
           limits: Optional[SearchLimits] = None,
           stats: Optional[SearchStats] = None) -> list[Proof]:
     """All cut-free derivations of the goal that use every premise once."""
-    initial, results, _ = _derivations(premises, goal, limits, stats)
-    return [_proof(initial, *result) for result in results]
+    initial, goal, results, _ = _derivations(premises, goal, limits, stats)
+    return [_proof(initial, goal, *result) for result in results]
 
 
 def derive_readings(premises: Sequence[Union[Premise, Formula]],
@@ -767,13 +774,13 @@ def derive_readings(premises: Sequence[Union[Premise, Formula]],
                     limits: Optional[SearchLimits] = None,
                     stats: Optional[SearchStats] = None) -> list[Reading]:
     """Distinct normalized meanings derivable for a projection."""
-    initial, results, stats = _derivations(premises, goal, limits, stats)
+    initial, goal, results, stats = _derivations(premises, goal, limits, stats)
     by_key: dict[str, Reading] = {}
-    for ground_goal, subst, node in results:
-        key = canonical_key(ground_goal.meaning)
+    for subst, node in results:
+        meaning, subst = _ground_reading(goal.meaning, subst)
+        key = canonical_key(meaning)
         if key not in by_key:  # other proofs of one meaning add no reading
-            by_key[key] = Reading(ground_goal.meaning, None,
-                                  (initial, ground_goal, subst, node))
+            by_key[key] = Reading(meaning, None, (initial, goal, subst, node))
     stats.readings = len(by_key)
     return [by_key[k] for k in sorted(by_key)]
 
@@ -782,11 +789,11 @@ def prove_theorem(goal: Formula,
                   limits: Optional[SearchLimits] = None,
                   stats: Optional[SearchStats] = None) -> Proof:
     """Prove a closed formula from no premises; the first proof found."""
-    initial, results, stats = _derivations((), goal, limits, stats)
+    initial, prepared, results, stats = _derivations((), goal, limits, stats)
     if not results:
         raise NotProvable(f"not provable: {format_glue(goal)}",
                           limit_hit=stats.limit_hit)
-    return _proof(initial, *results[0])
+    return _proof(initial, prepared, *results[0])
 
 
 # ---------------------------------------------------------------------------

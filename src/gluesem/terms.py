@@ -516,11 +516,12 @@ def canonical_key(t: Term) -> str:
 class _TermParser(Scanner):
     def __init__(self, text: str, signature: Mapping[str, SimpleType],
                  var_types: Mapping[str, SimpleType],
-                 binders: tuple[Var, ...] = ()):
+                 binders: tuple[Optional[Var], ...] = ()):
         super().__init__(text)
         self.sig = signature
         self.frees = var_types
-        # the enclosing binders as the variables they bind, nearest first
+        # the enclosing binders as the variables they bind, nearest first;
+        # None holds the place of a binder that no term name can refer to
         self.binders = binders
         self.failed_sugar: set[tuple] = set()
 
@@ -566,7 +567,7 @@ class _TermParser(Scanner):
             return Up(t) if ch == "^" else Down(t)
         name = self.ident()
         for index, bound in enumerate(self.binders):
-            if bound.name == name:
+            if bound is not None and bound.name == name:
                 return Bound(index, bound.ty)
         if name in self.frees:
             return Var(name, self.frees[name])
@@ -593,8 +594,8 @@ class _TermParser(Scanner):
         # A sugared form that failed here fails again under fewer binders,
         # which resolve fewer names, unless a binder that hid a determiner
         # is gone. Remembering failures keeps backtracking polynomial.
-        key = self.pos, tuple(b for b in self.binders
-                              if self.sig.get(b.name) == QUANTIFIER_TYPE)
+        key = self.pos, tuple(b for b in self.binders if b is not None
+                              and self.sig.get(b.name) == QUANTIFIER_TYPE)
         if key in self.failed_sugar:
             return None
         saved = self.pos, self.depth
@@ -626,7 +627,7 @@ def parse_term(text: str, signature: Mapping[str, SimpleType],
 
 
 def parse_term_prefix(outer: Scanner, signature: Mapping[str, SimpleType],
-                      binders: tuple[Var, ...]) -> Term:
+                      binders: tuple[Optional[Var], ...]) -> Term:
     """Parse one term at outer's position and move outer past it.
 
     Lets other parsers embed term syntax: the term extends as far as the

@@ -195,6 +195,22 @@ def test_run_derives_through_a_quantifier_in_a_conclusion(tmp_path, capsys,
     assert capsys.readouterr().out == "hoisted: 1 reading\n  1. leave(Bill)\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_run_names_a_placeholder_alike_in_search_and_oracle(tmp_path, capsys,
+                                                            flags):
+    # X is constrained by nothing; the search and the oracle draw different
+    # uids for it, and both number the reading's placeholders from 1
+    (tmp_path / "lexicon.glue").write_text(
+        "entry left\nconst leave : e -> t\n"
+        "glue forall X:e. ^.sig ~> leave(X)\n", encoding="utf-8")
+    (tmp_path / "scenario.txt").write_text(
+        "scenario one\nlexicon lexicon.glue\nfstructure f:[PRED 'leave']\n"
+        "attach left -> f\ngoal f\n", encoding="utf-8")
+    code = main(["run", str(tmp_path / "scenario.txt")] + flags)
+    assert capsys.readouterr().out == "one: 1 reading\n  1. leave(arb_X1)\n"
+    assert code == 0
+
+
 def test_run_max_depth_flags_the_limit(corpus_dir, capsys):
     code = main(["run", scenario_path(corpus_dir, "bill-seeks-a-unicorn"),
                  "--max-depth", "2"])

@@ -1,6 +1,7 @@
 """Composition-language formulas: parsing, well-formedness, currying, roles."""
 
 import pytest
+from conftest import CORPUS
 
 from gluesem.errors import (
     AtomTypeMismatch,
@@ -11,6 +12,7 @@ from gluesem.glue import (
     Forall,
     GlueAtom,
     Impl,
+    MeaningBinder,
     Tensor,
     atoms,
     curry,
@@ -20,6 +22,7 @@ from gluesem.glue import (
     parse_glue,
 )
 from gluesem.fstructure import SemProjectionRef
+from gluesem.lexicon import load_lexicon
 from gluesem.terms import Const
 from gluesem.types import E, parse_type
 
@@ -191,18 +194,50 @@ def test_instantiate_projection_passes_a_meaning_binder_of_that_name():
 
 
 def test_open_formula_opens_both_kinds_at_once_with_same_kind_shadowing():
-    # x and X are loose in the body, each index 0 of its kind; an inner
-    # binder of the same kind and name shadows its variable, a binder of the
-    # other kind shadows nothing
+    # X and x are loose in the body, with indices 1 and 0; an inner binder of
+    # the same kind and name shadows its variable, a binder of the other kind
+    # shadows nothing
     body = parse("forall X:proj(e), x:e. X ~> x -o (forall x:e. X ~> x) -o "
                  "(forall X:proj(e). X ~> x) -o (forall X:e. X ~> X) -o "
                  "(forall x:proj(e). x ~> x) -o f.sig ~> leave(x)").body
-    opened = open_formula(body, [BILL], [SemProjectionRef("g")])
+    opened = open_formula(body, [SemProjectionRef("g"), BILL])
     assert format_glue(opened) == (
         "g.sig ~> Bill -o (forall x:e. g.sig ~> x) -o "
         "(forall X:proj(e). X ~> Bill) -o (forall X:e. g.sig ~> X) -o "
         "(forall x:proj(e). x ~> Bill) -o f.sig ~> leave(Bill)"
     )
+
+
+def test_open_formula_lowers_the_indices_past_the_run():
+    # the run of four is one Forall; opening its last two binders leaves H
+    # and X loose, and each of their indices drops by two
+    f = parse("forall H:proj(e), X:e. forall G:proj(e), Y:e. "
+              "H ~> X -o G ~> Y")
+    opened = open_formula(f.body, [SemProjectionRef("g"), BILL])
+    assert Forall(f.binders[:2], opened) == \
+        parse("forall H:proj(e), X:e. H ~> X -o g.sig ~> Bill")
+
+
+LEXICON = load_lexicon(str(CORPUS / "lexicon.glue"))
+
+
+@pytest.mark.parametrize("prepare", [lambda f: f, curry],
+                         ids=["as-written", "curried"])
+@pytest.mark.parametrize("name", sorted(LEXICON.entries))
+def test_a_shipped_template_numbers_its_binders_in_one_count(name, prepare):
+    # determiner runs mix H:proj(t) with meaning binders; opening the whole
+    # run at once must agree with instantiating it binder by binder
+    f = prepare(LEXICON.entries[name].template)
+    assert parse_glue(format_glue(f), LEXICON.signature) == f
+    binders = f.binders if isinstance(f, Forall) else ()
+    values = [Const(f"c{i}", b.ty) if isinstance(b, MeaningBinder)
+              else SemProjectionRef(f"n{i}") for i, b in enumerate(binders)]
+    stepwise = f
+    for value in values:
+        stepwise = instantiate(stepwise, value)
+    opened = open_formula(f.body, values) if binders else f
+    assert opened == stepwise
+    assert "#" not in format_glue(opened)  # nothing is left loose
 
 
 # ---------------------------------------------------------------------------
@@ -254,5 +289,5 @@ def test_a_3000_part_tensor_lists_its_atoms_and_checks():
 
 def test_a_3000_part_tensor_opens():
     f = parse("forall X:e. " + " * ".join(["g.sig ~> X"] * 3000))
-    assert format_glue(open_formula(f.body, [Const("Bill", E)], [])) \
+    assert format_glue(open_formula(f.body, [Const("Bill", E)])) \
         == WIDE

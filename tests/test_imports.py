@@ -132,3 +132,26 @@ def test_the_oracle_never_reads_the_search_index():
     found = {n.lineno for n in ast.walk(trees["oracle.py"])
              if isinstance(n, ast.Attribute) and n.attr in index}
     assert not found, f"oracle.py reads the search index at {sorted(found)}"
+
+
+@pytest.mark.parametrize("name", ["prover.py", "oracle.py"])
+def test_binder_numbering_lives_in_glue(name):
+    # the search and the oracle open a run with the values _holes made for
+    # it, in binding order; which index each binder has is glue's business,
+    # and only the two value makers ask a binder its kind
+    [path] = [p for p in SOURCES if p.name == name]
+    tree = ast.parse(path.read_text(), str(path))
+    opens = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) == "open_formula"]
+    assert opens
+    wide = {n.lineno for n in opens if len(n.args) != 2 or n.keywords}
+    assert not wide, f"{name}: open_formula calls at {sorted(wide)}"
+    makers = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name in ("_solve_goal_hole", "_goal_eigen")
+              for n in ast.walk(f)}
+    binder_classes = {"MeaningBinder", "ProjBinder"}
+    stray = {n.lineno for n in ast.walk(tree) if id(n) not in makers
+             and (isinstance(n, ast.Name) and n.id in binder_classes
+                  or isinstance(n, ast.Attribute)
+                  and n.attr in binder_classes)}
+    assert not stray, f"{name}: binder classes read at {sorted(stray)}"

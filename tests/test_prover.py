@@ -192,6 +192,26 @@ def test_reading_order_is_independent_of_premise_order(corpus):
         assert got == baseline
 
 
+def test_one_meaning_with_a_placeholder_is_one_reading():
+    # X is constrained by nothing, so it grounds to a placeholder; the two
+    # orders of the two id premises drew different uids for it, and the
+    # placeholders are numbered per reading, so the two proofs give one
+    # reading, whose proof prints the same name
+    sig = {"leave": parse_type("e -> t"), "id": parse_type("t -> t")}
+    ident = "forall Q:t. f.sig ~> Q -o f.sig ~> id(Q)"
+    prems = [parse_glue(text, sig) for text in [
+        "forall X:e. g.sig ~> X", LEAVE, ident, ident]]
+    stats = SearchStats()
+    [reading] = derive_readings(prems, "f", stats=stats)
+    assert stats.proofs_found == 2
+    assert format_term(reading.meaning) == "id(id(leave(arb_X1)))"
+    assert set(re.findall(r"arb_\w+", format_proof(reading.proof))) == \
+        {"arb_X1"}
+    check_proof(reading.proof, None, prems, "f")
+    [reference] = oracle_enumerate(prems, "f")
+    assert reference.meaning == reading.meaning
+
+
 def test_counts_stable_at_double_depth(corpus):
     scenario, prems = corpus["bill-seeks-a-unicorn"]
     shallow = derive_readings(prems, scenario.goal,
@@ -577,9 +597,9 @@ def test_focus_opens_the_head_first_and_each_antecedent_when_reached(
     real_open, real_unify = prover.open_formula, prover._unify_atoms
     log = []  # the formula each opening opens; True/False per head unified
 
-    def opening(f, meanings, projs):
+    def opening(f, values):
         log.append(format_glue(f))
-        return real_open(f, meanings, projs)
+        return real_open(f, values)
 
     def unifying(goal, head, subst, state):
         out = real_unify(goal, head, subst, state)
