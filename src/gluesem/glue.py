@@ -16,14 +16,18 @@ restriction slots), a bound projection variable ``H``, or the template forms
 ``^.sig`` and ``(^ SUBJ).sig`` that lexical entries use before they are
 attached to a concrete node.
 
+A projection variable is a term of sort ProjType: a Bound here, and an
+Eigen or MetaVar in the prover, as a meaning variable is. So one Binder
+class serves both kinds of quantifier, and its type tells them apart.
+
 Each formula has one shape. A tensor chain is one Tensor of its parts, and
 a run of quantifiers is one Forall of its binders. Binders are nameless,
-with one count for both kinds: a ProjVar and a meaning variable, a loose
-index of the atom terms below its quantifier, each count every quantifier
-binder between them and their own, and a meaning index also counts the
-term's lambdas. Which binder an index names is glue's business alone:
-open_formula takes one value per binder of a run, in binding order. Names
-are kept for printing, so alpha-equivalent formulas are ==.
+with one count for both kinds: a bound projection and a meaning variable, a
+loose index of the atom terms below its quantifier, each count every
+quantifier binder between them and their own, and a meaning index also
+counts the term's lambdas. Which binder an index names is glue's business
+alone: open_formula takes one value per binder of a run, in binding order.
+Names are kept for printing, so alpha-equivalent formulas are ==.
 curry settles every tensor once: tensor antecedents become implications, and
 any other tensor is refused there.
 """
@@ -43,6 +47,8 @@ from .errors import (
 )
 from .fstructure import FACETS, SemProjectionRef
 from .terms import (
+    Bound,
+    Eigen,
     Term,
     Var,
     _shift,
@@ -52,46 +58,18 @@ from .terms import (
     open_bound,
     parse_term_prefix,
 )
-from .types import IDENT_RE, BaseType, Scanner, SimpleType, format_type
+from .types import (
+    IDENT_RE,
+    ArrowType,
+    ProjType,
+    Scanner,
+    SimpleType,
+    format_type,
+)
 
 
 # ---------------------------------------------------------------------------
 # projection references
-
-@dataclass(frozen=True)
-class ProjVar:
-    """A bound projection; index 0 is the nearest binder, of either kind."""
-
-    index: int
-
-    def __repr__(self):
-        return f"#{self.index}"
-
-
-@dataclass(frozen=True)
-class ProjEigen:
-    """Arbitrary projection introduced when proving a projection universal."""
-
-    name: str
-    uid: int
-    index: SimpleType
-
-    def __repr__(self):
-        return f"{self.name}#{self.uid}"
-
-
-@dataclass(frozen=True)
-class ProjMeta:
-    """Projection hole chosen during search; level gates eigen capture."""
-
-    name: str
-    uid: int
-    level: int
-    index: SimpleType
-
-    def __repr__(self):
-        return f"?{self.name}{self.uid}"
-
 
 @dataclass(frozen=True)
 class PathRef:
@@ -110,7 +88,8 @@ class PathRef:
         return f"{base}.{self.facet}"
 
 
-Proj = Union[SemProjectionRef, ProjVar, ProjEigen, ProjMeta, PathRef]
+# a Bound, Eigen or MetaVar in a projection position has a ProjType
+Proj = Union[SemProjectionRef, PathRef, Term]
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +142,11 @@ class Tensor:
 
 
 @dataclass(frozen=True)
-class MeaningBinder:
+class Binder:
+    """Binds a meaning variable, or a projection one when ty is a ProjType."""
+
     name: str = field(compare=False)  # for printing only
     ty: SimpleType
-
-
-@dataclass(frozen=True)
-class ProjBinder:
-    """Binds a projection variable; index is the meaning type it carries."""
-
-    name: str = field(compare=False)  # for printing only
-    index: SimpleType
-
-
-Binder = Union[MeaningBinder, ProjBinder]
 
 
 @_hash_once
@@ -199,15 +169,13 @@ class Forall:
 
 Formula = Union[GlueAtom, Impl, Tensor, Forall]
 
-# The binders around a subformula, nearest first: a meaning binder as the
-# variable its name reads as in term syntax, a projection binder as itself.
-Scope = tuple[Union[Var, ProjBinder], ...]
+# The binders around a subformula, nearest first, as the variables they bind.
+Scope = tuple[Var, ...]
 
 
 def _bind(binders: Sequence[Binder], scope: Scope) -> Scope:
     """The scope under a run of binders, outermost first."""
-    return tuple(Var(b.name, b.ty) if isinstance(b, MeaningBinder) else b
-                 for b in reversed(binders)) + scope
+    return tuple(Var(b.name, b.ty) for b in reversed(binders)) + scope
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +218,18 @@ def instantiate(f: Forall, value: Union[Term, Proj]) -> Formula:
     """Open the run's first binder, substituting value for its variable."""
     binder, rest = f.binders[0], f.binders[1:]
     body = Forall(rest, f.body) if rest else f.body
-    if isinstance(binder, MeaningBinder):
-        if not isinstance(value, Term):
-            raise TypeError("meaning binder instantiated with a projection")
-        if infer_type(value) != binder.ty:
-            raise AtomTypeMismatch(
-                f"{binder.name} has type {format_type(binder.ty)}, got "
-                f"{format_type(infer_type(value))}"
-            )
-    elif isinstance(value, Term):
-        raise TypeError("projection binder instantiated with a meaning term")
-    elif getattr(value, "index", binder.index) != binder.index:
-        raise AtomTypeMismatch(
-            f"{binder.name} indexes {format_type(binder.index)} resources, "
-            f"got proj({format_type(value.index)})"
-        )
+    ty = infer_type(value) if isinstance(value, Term) else None  # a reference
+    if isinstance(binder.ty, ProjType):
+        if ty is not None and not isinstance(ty, ProjType):
+            raise TypeError(
+                "projection binder instantiated with a meaning term")
+        fits = f"indexes {format_type(binder.ty.index)} resources"
+    elif ty is None or isinstance(ty, ProjType):
+        raise TypeError("meaning binder instantiated with a projection")
+    else:
+        fits = f"has type {format_type(binder.ty)}"
+    if ty is not None and ty != binder.ty:
+        raise AtomTypeMismatch(f"{binder.name} {fits}, got {format_type(ty)}")
     return open_formula(body, (value,))
 
 
@@ -279,9 +244,9 @@ def open_formula(f: Formula, values: Sequence[Union[Term, Proj]]) -> Formula:
 
     def atom(a: GlueAtom, depth: int) -> GlueAtom:
         proj = a.proj
-        if isinstance(proj, ProjVar) and proj.index >= depth:
+        if isinstance(proj, Bound) and proj.index >= depth:
             i = proj.index - depth
-            proj = nearest[i] if i < n else ProjVar(proj.index - n)
+            proj = nearest[i] if i < n else Bound(proj.index - n, proj.ty)
         return _atom(a, proj, open_bound(a.meaning, nearest, depth))
     return map_atoms(f, atom) if n else f
 
@@ -349,8 +314,8 @@ def _lift(f: Formula, n: int) -> Formula:
     """f under n more binders."""
     def atom(a: GlueAtom, depth: int) -> GlueAtom:
         proj = a.proj
-        if isinstance(proj, ProjVar) and proj.index >= depth:
-            proj = ProjVar(proj.index + n)
+        if isinstance(proj, Bound) and proj.index >= depth:
+            proj = Bound(proj.index + n, proj.ty)
         return _atom(a, proj, _shift(a.meaning, n, depth))
     return map_atoms(f, atom)
 
@@ -409,8 +374,8 @@ class _GlueParser(Scanner):
             self.expect("(")
             index = self.type()
             self.expect(")")
-            return ProjBinder(name, index)
-        return MeaningBinder(name, self.type())
+            return Binder(name, ProjType(index))
+        return Binder(name, self.type())
 
     def impl(self) -> Formula:
         left = self.tensor()
@@ -452,13 +417,13 @@ class _GlueParser(Scanner):
         self.expect("~>")
         scope = self.scope
         meaning = parse_term_prefix(self, self.sig, tuple(
-            b if isinstance(b, Var) else None for b in scope))
+            None if isinstance(b.ty, ProjType) else b for b in scope))
         result_type = infer_type(meaning)
-        if isinstance(proj, ProjVar) and proj.index < len(scope):
+        if isinstance(proj, Bound) and proj.index < len(scope):
             binder = scope[proj.index]
-            if binder.index != result_type:
+            if binder.ty.index != result_type:
                 raise AtomTypeMismatch(
-                    f"{binder.name} carries {format_type(binder.index)} "
+                    f"{binder.name} carries {format_type(binder.ty.index)} "
                     "resources but "
                     f"{format_term(open_bound(meaning, scope))} has type "
                     f"{format_type(result_type)}"
@@ -482,11 +447,11 @@ class _GlueParser(Scanner):
         if self.text.startswith(".", self.pos):
             return SemProjectionRef(name, self.facet())
         for index, binder in enumerate(self.scope):
-            if isinstance(binder, ProjBinder) and binder.name == name:
-                return ProjVar(index)
+            if isinstance(binder.ty, ProjType) and binder.name == name:
+                return Bound(index, binder.ty)
         # reported when parsing ends, so a syntax error comes first
         self.unbound = self.unbound or name
-        return ProjVar(len(self.scope))
+        return Bound(len(self.scope), None)
 
     def facet(self) -> str:
         """Read .sig and an optional facet, .VAR or .RESTR."""
@@ -552,16 +517,14 @@ def _fmt(f: Formula, min_prec: int, scope: Scope) -> str:
 
 
 def _fmt_binder(b: Binder) -> str:
-    if isinstance(b, ProjBinder):
-        return f"{b.name}:proj({format_type(b.index)})"
     ty_text = format_type(b.ty)
-    if not isinstance(b.ty, BaseType):
+    if isinstance(b.ty, ArrowType):
         ty_text = f"({ty_text})"
     return f"{b.name}:{ty_text}"
 
 
 def format_proj(p: Proj, outer: Scope = ()) -> str:
     """outer holds the enclosing binders, nearest first."""
-    if isinstance(p, ProjVar) and p.index < len(outer):
-        return outer[p.index].name
-    return p.name if isinstance(p, ProjEigen) else repr(p)
+    if isinstance(p, Bound):
+        return outer[p.index].name if p.index < len(outer) else f"#{p.index}"
+    return p.name if isinstance(p, Eigen) else repr(p)

@@ -31,7 +31,6 @@ from .glue import (
     Formula,
     GlueAtom,
     Impl,
-    ProjEigen,
     atoms,
     curry,
     instantiate,
@@ -52,7 +51,7 @@ def _multiset(fs: Sequence[Formula]) -> Counter:
     return Counter(_key(f) for f in fs)
 
 
-def _eigen_occurs(eigen: Union[Eigen, ProjEigen], f: Formula) -> bool:
+def _eigen_occurs(eigen: Eigen, f: Formula) -> bool:
     return any(atom.proj == eigen or eigen in _collect(atom.meaning, Eigen)
                for atom in atoms(f))
 

@@ -40,14 +40,12 @@ from .errors import (
 )
 from .fstructure import SemProjectionRef
 from .glue import (
+    Binder,
     Forall,
     Formula,
     GlueAtom,
     Impl,
-    MeaningBinder,
     Proj,
-    ProjEigen,
-    ProjMeta,
     curry,
     format_glue,
     format_proj,
@@ -79,7 +77,7 @@ from .terms import (
     spine,
     type_of,
 )
-from .types import ArrowType, SimpleType, T, arrow
+from .types import ArrowType, ProjType, SimpleType, T, arrow
 
 
 @dataclass
@@ -126,7 +124,7 @@ class Proof:
     rule: str
     sequent: Sequent
     children: tuple["Proof", ...] = ()
-    eigen: Optional[Union[Eigen, ProjEigen]] = None
+    eigen: Optional[Eigen] = None
     instantiation: Optional[Union[Term, Proj]] = None
 
 
@@ -159,7 +157,7 @@ class Reading:
 # ---------------------------------------------------------------------------
 # search state
 
-_LITERAL = (SemProjectionRef, ProjEigen)  # one projection for the search
+_LITERAL = (SemProjectionRef, Eigen)  # one projection for the search
 
 
 class _State:
@@ -203,32 +201,24 @@ class _State:
 
 
 class _Subst:
-    """Bindings for meaning and projection metavariables, persistent style."""
+    """Bindings for holes of both sorts by uid, persistent style."""
 
-    __slots__ = ("meanings", "projs")
+    __slots__ = ("values",)
 
-    def __init__(self, meanings=None, projs=None):
-        self.meanings: dict[int, Term] = meanings or {}
-        self.projs: dict[int, Proj] = projs or {}
+    def __init__(self, values=None):
+        self.values: dict[int, Union[Term, Proj]] = values or {}
 
-    def bind_meaning(self, uid: int, value: Term) -> "_Subst":
-        meanings = dict(self.meanings)
-        meanings[uid] = value
-        return _Subst(meanings, self.projs)
+    def bind(self, uid: int, value: Union[Term, Proj]) -> "_Subst":
+        return _Subst({**self.values, uid: value})
 
-    def bind_proj(self, uid: int, value: Proj) -> "_Subst":
-        projs = dict(self.projs)
-        projs[uid] = value
-        return _Subst(self.meanings, projs)
-
-    def meaning(self, m: MetaVar) -> Optional[Term]:
-        """The term bound to hole m, or None; normalize's holes."""
-        return self.meanings.get(m.uid)
+    def get(self, m: MetaVar) -> Optional[Union[Term, Proj]]:
+        """The value bound to hole m, or None; normalize's holes."""
+        return self.values.get(m.uid)
 
 
 def zonk_proj(p: Proj, subst: _Subst) -> Proj:
-    while isinstance(p, ProjMeta):
-        bound = subst.projs.get(p.uid)
+    while isinstance(p, MetaVar):
+        bound = subst.values.get(p.uid)
         if bound is None:
             return p
         p = bound
@@ -237,7 +227,7 @@ def zonk_proj(p: Proj, subst: _Subst) -> Proj:
 
 def _ground_term(t: Term, subst: _Subst) -> Term:
     """t normalized with its holes filled, a free hole by a placeholder."""
-    return normalize(t, lambda m: subst.meaning(m)
+    return normalize(t, lambda m: subst.get(m)
                      or Const(f"arb_{m.name}{m.uid}", m.ty))
 
 
@@ -248,22 +238,22 @@ def _ground_reading(t: Term, subst: _Subst) -> tuple[Term, _Subst]:
     by first occurrence in the normal form, so equal readings compare equal.
     """
     free: list[MetaVar] = []
-    t = normalize(t, lambda m: subst.meaning(m) or free.append(m))
+    t = normalize(t, lambda m: subst.get(m) or free.append(m))
     count: dict[str, int] = {}
 
     def place(u: Term, _) -> Term:
         nonlocal subst
-        if isinstance(u, MetaVar) and not subst.meaning(u):
+        if isinstance(u, MetaVar) and not subst.get(u):
             count[u.name] = k = count.get(u.name, 0) + 1
-            subst = subst.bind_meaning(u.uid, Const(f"arb_{u.name}{k}", u.ty))
-        return subst.meaning(u) if isinstance(u, MetaVar) else u
+            subst = subst.bind(u.uid, Const(f"arb_{u.name}{k}", u.ty))
+        return subst.get(u) if isinstance(u, MetaVar) else u
     t = map_leaves(t, place) if free else t
     return t, subst
 
 
 def _ground_proj(p: Proj, subst: _Subst) -> Proj:
     p = zonk_proj(p, subst)
-    if isinstance(p, ProjMeta):
+    if isinstance(p, MetaVar):
         return SemProjectionRef(f"arb_{p.name}{p.uid}")
     return p
 
@@ -279,8 +269,8 @@ def ground_formula(f: Formula, subst: _Subst) -> Formula:
 
 def _unify_meaning(a: Term, b: Term, subst: _Subst,
                    state: _State) -> Optional[_Subst]:
-    a = normalize(a, subst.meaning)
-    b = normalize(b, subst.meaning)
+    a = normalize(a, subst.get)
+    b = normalize(b, subst.get)
     return _unify(a, b, subst, state)
 
 
@@ -451,8 +441,8 @@ def _solve_flex(m: MetaVar, raw_args: Sequence[Term], rhs: Term,
         return None
     solution = _lams(doms, body)
     for uid, lifted in raised.items():
-        subst = subst.bind_meaning(uid, app(lifted, *raw_args))
-    return subst.bind_meaning(m.uid, solution)
+        subst = subst.bind(uid, app(lifted, *raw_args))
+    return subst.bind(m.uid, solution)
 
 
 def _unify_flex_flex(ma: MetaVar, aas: Sequence[Term], mb: MetaVar,
@@ -482,9 +472,9 @@ def _unify_flex_flex(ma: MetaVar, aas: Sequence[Term], mb: MetaVar,
     fresh_ty = arrow(*[a_doms[i] for i, _ in shared], res_ty)
     fresh = MetaVar(ma.name, state.fresh(), fresh_ty,
                     min(ma.level, mb.level))
-    out = subst.bind_meaning(ma.uid, _lams(a_doms, app(
+    out = subst.bind(ma.uid, _lams(a_doms, app(
         fresh, *[Bound(na - 1 - i, a_doms[i]) for i, _ in shared])))
-    return out.bind_meaning(mb.uid, _lams(b_doms, app(
+    return out.bind(mb.uid, _lams(b_doms, app(
         fresh, *[Bound(nb - 1 - j, b_doms[j]) for _, j in shared])))
 
 
@@ -494,26 +484,18 @@ def _unify_flex_flex(ma: MetaVar, aas: Sequence[Term], mb: MetaVar,
 def _unify_proj(a: Proj, b: Proj, subst: _Subst) -> Optional[_Subst]:
     a = zonk_proj(a, subst)
     b = zonk_proj(b, subst)
-    if isinstance(a, ProjMeta) and isinstance(b, ProjMeta):
-        if a.uid == b.uid:
-            return subst
-        if a.index != b.index:
-            return None
-        if a.level >= b.level:
-            return subst.bind_proj(a.uid, b)
-        return subst.bind_proj(b.uid, a)
-    if isinstance(b, ProjMeta):
-        a, b = b, a
-    if isinstance(a, ProjMeta):
-        if isinstance(b, ProjEigen):
-            if b.index != a.index or b.uid >= a.level:
-                return None
-        return subst.bind_proj(a.uid, b)
-    if isinstance(a, ProjEigen) and isinstance(b, ProjEigen):
-        return subst if a.uid == b.uid else None
-    if isinstance(a, SemProjectionRef) and isinstance(b, SemProjectionRef):
-        return subst if a == b else None
-    return None
+    if a == b:
+        return subst
+    if isinstance(b, MetaVar) \
+            and (not isinstance(a, MetaVar) or a.level < b.level):
+        a, b = b, a  # a is the hole to bind, the newer one of two holes
+    if not isinstance(a, MetaVar):
+        return None
+    if isinstance(b, (Eigen, MetaVar)) and b.ty != a.ty:
+        return None
+    if isinstance(b, Eigen) and b.uid >= a.level:
+        return None
+    return subst.bind(a.uid, b)
 
 
 def _unify_atoms(goal: GlueAtom, head: GlueAtom, subst: _Subst,
@@ -535,7 +517,7 @@ def _unify_atoms(goal: GlueAtom, head: GlueAtom, subst: _Subst,
 class _SNode:
     kind: str
     consumed: int  # the slots the subproof uses
-    eigen: Optional[Union[Eigen, ProjEigen]] = None
+    eigen: Optional[Eigen] = None
     entry: int = 0  # the focused entry's or the hypothesis's slot bit
     insts: tuple = ()
     ants: tuple["_SNode", ...] = ()
@@ -550,11 +532,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= bit
 
 
-def _solve_goal_hole(binder, uid: int) -> Union[MetaVar, ProjMeta]:
+def _solve_goal_hole(binder: Binder, uid: int) -> MetaVar:
     """A fresh hole for instantiating a premise-side quantifier."""
-    if isinstance(binder, MeaningBinder):
-        return MetaVar(binder.name, uid, binder.ty, uid)
-    return ProjMeta(binder.name, uid, uid, binder.index)
+    return MetaVar(binder.name, uid, binder.ty, uid)
 
 
 def _holes(f: Formula, make: Callable, state: _State) \
@@ -569,11 +549,9 @@ def _holes(f: Formula, make: Callable, state: _State) \
     return [make(b, state.fresh()) for b in f.binders], f.body
 
 
-def _goal_eigen(binder, uid: int) -> Union[Eigen, ProjEigen]:
+def _goal_eigen(binder: Binder, uid: int) -> Eigen:
     """A fresh eigenvariable for proving a goal-side quantifier."""
-    if isinstance(binder, MeaningBinder):
-        return Eigen(binder.name, uid, binder.ty)
-    return ProjEigen(binder.name, uid, binder.index)
+    return Eigen(binder.name, uid, binder.ty)
 
 
 def _solve(ctx: int, goal: Formula, subst: _Subst, depth: int,
@@ -679,8 +657,8 @@ def _replay(node: _SNode, ctx: dict[int, Formula], goal: Formula,
     f, mask = ctx[node.entry], node.consumed
     chain: list[Proof] = []  # forall_left* then impl_left*, top down
     for hole in node.insts:
-        value = _ground_term(hole, subst) if isinstance(hole, MetaVar) \
-            else _ground_proj(hole, subst)
+        value = _ground_proj(hole, subst) if isinstance(hole.ty, ProjType) \
+            else _ground_term(hole, subst)
         chain.append(Proof("forall_left", sequent(mask, f),
                            instantiation=value))
         f = normalize_meanings(instantiate(f, value))

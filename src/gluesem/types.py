@@ -9,7 +9,7 @@ from .errors import TermSyntaxError
 
 
 class SimpleType:
-    """Base class; instances are BaseType or ArrowType."""
+    """Base class; instances are BaseType, ArrowType or ProjType."""
 
     __slots__ = ()
 
@@ -26,6 +26,16 @@ class BaseType(SimpleType):
 class ArrowType(SimpleType):
     dom: SimpleType
     cod: SimpleType
+
+    def __repr__(self):
+        return format_type(self)
+
+
+@dataclass(frozen=True, slots=True)
+class ProjType(SimpleType):
+    """The sort of a semantic projection that carries index resources."""
+
+    index: SimpleType
 
     def __repr__(self):
         return format_type(self)
@@ -55,6 +65,8 @@ QUANTIFIER_TYPE = arrow(arrow(E, T), arrow(E, T), T)
 def format_type(ty: SimpleType) -> str:
     if isinstance(ty, BaseType):
         return ty.name
+    if isinstance(ty, ProjType):
+        return f"proj({format_type(ty.index)})"
     assert isinstance(ty, ArrowType)
     dom = format_type(ty.dom)
     if isinstance(ty.dom, ArrowType):

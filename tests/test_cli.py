@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import SCENARIO_NAMES
 
-from gluesem import lexicon, prover
+from gluesem import cli, lexicon, prover
 from gluesem.cli import main
 from gluesem.types import MAX_NESTING
 
@@ -226,6 +226,46 @@ def test_run_oracle_cross_check_passes(corpus_dir, capsys):
     assert "5 readings" in capsys.readouterr().out
 
 
+def test_run_oracle_disagreement_prints_a_diff_and_exits_one(
+        corpus_dir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_enumerate", lambda *a, **k: [])
+    code = main(["run", scenario_path(corpus_dir, "bill-left"), "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--- oracle\n+++ search\n" in captured.err
+    assert "+leave(Bill)\n" in captured.err
+    assert captured.err.endswith(
+        "error: search and reference enumeration disagree on bill-left: "
+        "0 vs 1 readings\n")
+
+
+def _without_lexicon(corpus_dir, tmp_path):
+    text = (corpus_dir / "bill-left" / "scenario.txt").read_text("utf-8")
+    path = tmp_path / "scenario.txt"
+    path.write_text(text.replace("lexicon ../lexicon.glue\n", ""),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_run_takes_the_lexicon_from_the_flag(tmp_path, corpus_dir, capsys):
+    code = main(["run", _without_lexicon(corpus_dir, tmp_path), "--lexicon",
+                 str(corpus_dir / "lexicon.glue")])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        "bill-left: 1 reading\n  1. leave(Bill)\n"
+
+
+def test_run_without_any_lexicon_exits_one(tmp_path, corpus_dir, capsys):
+    path = _without_lexicon(corpus_dir, tmp_path)
+    code = main(["run", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {path} names no lexicon; pass one "
+                            "with --lexicon\n")
+
+
 # ---------------------------------------------------------------------------
 # batch
 
@@ -257,6 +297,16 @@ def test_batch_empty_directory_trivially_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 scenarios" in out
+
+
+def test_batch_on_a_path_that_is_not_a_directory_exits_one(tmp_path,
+                                                            capsys):
+    path = tmp_path / "scenario.txt"
+    path.write_text("", encoding="utf-8")
+    code = main(["batch", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: not a directory: {path}\n"
 
 
 def test_batch_reports_a_tampered_golden_with_a_diff(corpus_copy, capsys):

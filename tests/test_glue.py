@@ -3,6 +3,7 @@
 import pytest
 from conftest import CORPUS
 
+from gluesem import prover
 from gluesem.errors import (
     AtomTypeMismatch,
     OpenVariable,
@@ -12,7 +13,6 @@ from gluesem.glue import (
     Forall,
     GlueAtom,
     Impl,
-    MeaningBinder,
     Tensor,
     atoms,
     curry,
@@ -24,7 +24,7 @@ from gluesem.glue import (
 from gluesem.fstructure import SemProjectionRef
 from gluesem.lexicon import load_lexicon
 from gluesem.terms import Const
-from gluesem.types import E, parse_type
+from gluesem.types import E, ProjType, parse_type
 
 SIG = {
     "Bill": parse_type("e"),
@@ -193,6 +193,43 @@ def test_instantiate_projection_passes_a_meaning_binder_of_that_name():
         parse("forall X:e. g.sig ~> X")
 
 
+def _eigen(text):
+    """The search's eigenvariable for the one binder of the formula text."""
+    [binder] = parse(text).binders
+    return prover._goal_eigen(binder, 99)
+
+
+# check_proof quotes these refusals in its InvalidStep reason
+SORT_REFUSALS = {
+    "meaning-for-projection": (
+        "forall H:proj(t). H ~> leave(Bill)", BILL, TypeError,
+        "projection binder instantiated with a meaning term"),
+    "reference-for-meaning": (
+        "forall X:e. g.sig ~> leave(X)", SemProjectionRef("g"), TypeError,
+        "meaning binder instantiated with a projection"),
+    "projection-of-another-index": (
+        "forall H:proj(t). H ~> leave(Bill)",
+        _eigen("forall G:proj(e). G ~> Bill"), AtomTypeMismatch,
+        "H indexes t resources, got proj(e)"),
+    "projection-eigenvariable-for-meaning": (
+        "forall X:e. g.sig ~> leave(X)",
+        _eigen("forall G:proj(e). G ~> Bill"), TypeError,
+        "meaning binder instantiated with a projection"),
+    "meaning-eigenvariable-for-projection": (
+        "forall H:proj(e). H ~> Bill", _eigen("forall Y:e. g.sig ~> Y"),
+        TypeError, "projection binder instantiated with a meaning term"),
+}
+
+
+@pytest.mark.parametrize("case", SORT_REFUSALS)
+def test_instantiate_refuses_a_value_of_the_other_sort(case):
+    text, value, cls, message = SORT_REFUSALS[case]
+    with pytest.raises(Exception) as caught:
+        instantiate(parse(text), value)
+    assert type(caught.value) is cls
+    assert str(caught.value) == message
+
+
 def test_open_formula_opens_both_kinds_at_once_with_same_kind_shadowing():
     # X and x are loose in the body, with indices 1 and 0; an inner binder of
     # the same kind and name shadows its variable, a binder of the other kind
@@ -230,8 +267,8 @@ def test_a_shipped_template_numbers_its_binders_in_one_count(name, prepare):
     f = prepare(LEXICON.entries[name].template)
     assert parse_glue(format_glue(f), LEXICON.signature) == f
     binders = f.binders if isinstance(f, Forall) else ()
-    values = [Const(f"c{i}", b.ty) if isinstance(b, MeaningBinder)
-              else SemProjectionRef(f"n{i}") for i, b in enumerate(binders)]
+    values = [SemProjectionRef(f"n{i}") if isinstance(b.ty, ProjType)
+              else Const(f"c{i}", b.ty) for i, b in enumerate(binders)]
     stepwise = f
     for value in values:
         stepwise = instantiate(stepwise, value)

@@ -137,8 +137,10 @@ def test_the_oracle_never_reads_the_search_index():
 @pytest.mark.parametrize("name", ["prover.py", "oracle.py"])
 def test_binder_numbering_lives_in_glue(name):
     # the search and the oracle open a run with the values _holes made for
-    # it, in binding order; which index each binder has is glue's business,
-    # and only the two value makers ask a binder its kind
+    # it, in binding order; which index each binder has is glue's business.
+    # A binder's sort is its type, so neither _holes nor the two value
+    # makers asks a binder its kind: no ProjType, no isinstance or type
+    # call but _holes' on its formula, and no branch in a maker
     [path] = [p for p in SOURCES if p.name == name]
     tree = ast.parse(path.read_text(), str(path))
     opens = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
@@ -146,12 +148,18 @@ def test_binder_numbering_lives_in_glue(name):
     assert opens
     wide = {n.lineno for n in opens if len(n.args) != 2 or n.keywords}
     assert not wide, f"{name}: open_formula calls at {sorted(wide)}"
-    makers = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
-              and f.name in ("_solve_goal_hole", "_goal_eigen")
-              for n in ast.walk(f)}
-    binder_classes = {"MeaningBinder", "ProjBinder"}
-    stray = {n.lineno for n in ast.walk(tree) if id(n) not in makers
-             and (isinstance(n, ast.Name) and n.id in binder_classes
-                  or isinstance(n, ast.Attribute)
-                  and n.attr in binder_classes)}
-    assert not stray, f"{name}: binder classes read at {sorted(stray)}"
+    makers = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name in ("_holes", "_solve_goal_hole", "_goal_eigen")}
+    assert name == "oracle.py" or len(makers) == 3
+    asks = set()
+    for f in makers.values():
+        formula = f.args.args[0].arg if f.name == "_holes" else None
+        for n in ast.walk(f):
+            if isinstance(n, ast.Name) and n.id == "ProjType" \
+                    or f.name != "_holes" and isinstance(
+                        n, (ast.If, ast.IfExp, ast.Match, ast.BoolOp)) \
+                    or isinstance(n, ast.Call) \
+                    and getattr(n.func, "id", None) in ("isinstance", "type") \
+                    and getattr(n.args[0], "id", None) != formula:
+                asks.add(n.lineno)
+    assert not asks, f"{name}: a binder's kind asked at {sorted(asks)}"

@@ -18,8 +18,7 @@ from gluesem.errors import (
     NotProvable,
 )
 from gluesem.glue import (
-    MeaningBinder,
-    ProjMeta,
+    Binder,
     Tensor,
     atoms,
     curry,
@@ -27,6 +26,7 @@ from gluesem.glue import (
     format_proj,
     parse_glue,
 )
+from gluesem.fstructure import SemProjectionRef
 from gluesem.lexicon import load_scenario, parse_lexicon, parse_scenario
 from gluesem.lexicon import premises as lexicon_premises
 from gluesem.oracle import oracle_enumerate
@@ -57,13 +57,14 @@ from gluesem.terms import (
     Lam,
     MetaVar,
     Term,
+    Up,
     Var,
     app,
     format_term,
     free_meta_vars,
     normalize,
 )
-from gluesem.types import E, T, parse_type
+from gluesem.types import E, T, ProjType, parse_type
 
 SIG = {
     "Bill": parse_type("e"),
@@ -334,27 +335,27 @@ def test_nested_hole_raised_once_for_two_occurrences(monkeypatch):
     # ?M(x) = and(?N, ?N) with ?N newer than ?M: inversion raises ?N over x
     # once, and its second occurrence reuses the lifted hole
     m = MetaVar("M", 101, parse_type("e -> t"), 101)
-    x = _goal_eigen(MeaningBinder("x", E), 102)
+    x = _goal_eigen(Binder("x", E), 102)
     n = MetaVar("N", 103, T, 103)
     lhs = app(m, x)
     rhs = app(app(Const("and", parse_type("t -> t -> t")), n), n)
     bound = []
-    bind = _Subst.bind_meaning
+    bind = _Subst.bind
 
     def counting_bind(self, uid, value):
         bound.append(uid)
         return bind(self, uid, value)
 
-    monkeypatch.setattr(_Subst, "bind_meaning", counting_bind)
+    monkeypatch.setattr(_Subst, "bind", counting_bind)
     out = _unify_meaning(lhs, rhs, _Subst(),
                          _State(SearchLimits(), SearchStats()))
     assert out is not None
     assert sorted(bound) == [m.uid, n.uid]
-    solution = out.meanings[m.uid]
+    solution = out.values[m.uid]
     [lifted] = free_meta_vars(solution)
     assert lifted.level == m.level
-    assert out.meanings[n.uid] == app(lifted, x)
-    assert normalize(lhs, out.meaning) == normalize(rhs, out.meaning)
+    assert out.values[n.uid] == app(lifted, x)
+    assert normalize(lhs, out.get) == normalize(rhs, out.get)
 
 
 def test_zonk_merges_a_call_that_fills_a_head():
@@ -362,8 +363,8 @@ def test_zonk_merges_a_call_that_fills_a_head():
     find = Const("find", parse_type("e -> e -> t"))
     hole = MetaVar("F", 1, parse_type("e -> t"), 1)
     x = Eigen("x", 2, E)
-    subst = _Subst().bind_meaning(hole.uid, app(find, Const("Bill", E)))
-    out = normalize(app(hole, x), subst.meaning)
+    subst = _Subst().bind(hole.uid, app(find, Const("Bill", E)))
+    out = normalize(app(hole, x), subst.get)
     assert out == App(find, (Const("Bill", E), x))
     assert format_term(out) == "find(Bill, x)"
 
@@ -379,7 +380,10 @@ ET, EET = parse_type("e -> t"), parse_type("e -> e -> t")
 _X, _Y, _Z = Eigen("x", 2, E), Eigen("y", 3, E), Eigen("z", 4, E)
 _M = MetaVar("M", 1, ET, 1)
 _N = MetaVar("N", 1, EET, 1)
-_OLDER, _NEWER = ProjMeta("G", 3, 3, T), ProjMeta("H", 5, 5, T)
+_XI = Eigen("x", 2, parse_type("s -> e"))
+_MI = MetaVar("M", 1, parse_type("(s -> s -> e) -> t"), 1)
+_OLDER = MetaVar("G", 3, ProjType(T), 3)
+_NEWER = MetaVar("H", 5, ProjType(T), 5)
 
 
 def _meanings(lhs, rhs):
@@ -392,7 +396,7 @@ def _projs(a, b):
 
 def _pruned(out, subst):
     # N keeps its first argument, where both sides agree, and drops the other
-    solution = out.meanings[_N.uid]
+    solution = out.values[_N.uid]
     [fresh] = free_meta_vars(solution)
     return fresh.ty == ET and fresh.level == _N.level and \
         solution == Lam(E, Lam(E, app(fresh, Bound(1, E))))
@@ -435,14 +439,25 @@ UNIFY_CASES = {
     "solution-of-another-type": (
         _meanings(app(_M, _Y), app(Const("f", parse_type("e -> e")), _Y)),
         lambda out, subst: out is None, None),
+    # a pattern argument passed as an intension, ^x, is inverted whole, and
+    # the bare x under it becomes the extension of the solution's binder
+    "intension-argument-kept": (
+        _meanings(app(_MI, Up(_XI)), app(Const("f", parse_type(
+            "(s -> s -> e) -> t")), Up(_XI))),
+        lambda out, subst: format_term(out.values[_MI.uid]) == "f", None),
+    "intension-argument-extended": (
+        _meanings(app(_MI, Up(_XI)), app(Const("g", parse_type(
+            "(s -> e) -> t")), _XI)),
+        lambda out, subst: format_term(out.values[_MI.uid])
+        == "\\P:(s -> s -> e). g(!P)", None),
     "projection-holes-newer-first": (
         _projs(_NEWER, _OLDER),
-        lambda out, subst: out.projs == {_NEWER.uid: _OLDER}, None),
+        lambda out, subst: out.values == {_NEWER.uid: _OLDER}, None),
     "projection-holes-older-first": (
         _projs(_OLDER, _NEWER),
-        lambda out, subst: out.projs == {_NEWER.uid: _OLDER}, None),
+        lambda out, subst: out.values == {_NEWER.uid: _OLDER}, None),
     "projection-holes-other-index": (
-        _projs(_NEWER, ProjMeta("G", 3, 3, E)),
+        _projs(_NEWER, MetaVar("G", 3, ProjType(E), 3)),
         lambda out, subst: out is None, None),
 }
 
@@ -580,6 +595,23 @@ def test_a_quantifier_in_a_conclusion_is_searched_checked_and_enumerated():
     assert reference.meaning == reading.meaning
 
 
+def test_a_projection_hole_that_nothing_fixes_grounds_to_a_placeholder():
+    # H occurs only in an antecedent that its own hypothesis proves, so its
+    # hole stays free and the proof instantiates a placeholder projection
+    sig = {"a": T, "done": T}
+    premises = [parse_glue(
+        "forall H:proj(t). (H ~> a -o H ~> a) -o g.sig ~> done", sig)]
+    [reading] = derive_readings(premises, "g")
+    assert format_term(reading.meaning) == "done"
+    assert reading.proof.rule == "forall_left"
+    value = reading.proof.instantiation
+    assert isinstance(value, SemProjectionRef)
+    assert re.fullmatch(r"arb_H\d+\.sig", format_proj(value))
+    check_proof(reading.proof, None, premises, "g")
+    [reference] = oracle_enumerate(premises, "g")
+    assert reference.meaning == reading.meaning
+
+
 # ---------------------------------------------------------------------------
 # focusing: the head opens first, each antecedent when it is reached
 
@@ -644,7 +676,7 @@ def test_solve_flex_receives_a_zonked_normal_right_side(corpus, monkeypatch,
     calls = []
 
     def checked(m, raw_args, rhs, subst, state):
-        assert rhs == normalize(rhs, subst.meaning), format_term(rhs)
+        assert rhs == normalize(rhs, subst.get), format_term(rhs)
         calls.append(m)
         return real(m, raw_args, rhs, subst, state)
 
